@@ -4,9 +4,9 @@
 // Quantifies what the new src/io subsystem costs on this host and how
 // well group commit amortizes fsyncs across client threads.
 //
-// A second section compares the two index-durability modes: checkpoint
-// bytes written and crash-recovery wall-clock with the legacy full-index
-// snapshot vs the persistent (physiologically logged) index.
+// A second section measures restart cost: checkpoint bytes written and
+// crash-recovery wall-clock of the persistent (physiologically logged)
+// index.
 #include <chrono>
 #include <filesystem>
 
@@ -157,70 +157,54 @@ void Run() {
       "page-in stalls) and eviction_writebacks (page steals that must\n"
       "write before reuse), both absent in the unbudgeted modes.\n");
 
-  // --- Restart cost: snapshot vs logged index -------------------------
+  // --- Restart cost of the logged index ------------------------------
   std::printf(
-      "\nRestart cost by index durability mode (%u keys loaded, then one\n"
-      "checkpoint, then a crash + reopen):\n",
+      "\nRestart cost (%u keys loaded, then one checkpoint, then a crash +\n"
+      "reopen):\n",
       kKeys);
   std::printf("%-16s %14s %12s %10s %10s\n", "index-mode", "ckpt_bytes",
               "recovery_ms", "redo_ops", "index_ops");
-  struct IndexMode {
-    const char* name;
-    IndexDurability mode;
-  };
-  for (const IndexMode& im : {IndexMode{"snapshot", IndexDurability::kSnapshot},
-                              IndexMode{"logged", IndexDurability::kLoggedPages}}) {
-    std::filesystem::remove_all(base);
-    std::uint64_t ckpt_bytes = 0;
-    {
-      EngineConfig config;
-      config.design = SystemDesign::kConventional;
-      config.db.data_dir = base;
-      config.db.frame_budget = 256;
-      config.db.txn.durable_commits = true;
-      config.db.index_durability = im.mode;
-      auto engine = bench::MakeEngine(config);
-      Load(engine.get());
-      const Lsn before = engine->db().log()->next_lsn();
-      (void)engine->db().Checkpoint();
-      ckpt_bytes = engine->db().log()->next_lsn() - before;
-      // A little post-checkpoint work so recovery has a tail to replay.
-      Rng rng(42);
-      for (int i = 0; i < 500; ++i) {
-        TxnRequest req = UpdateTxn(rng);
-        (void)engine->Execute(req);
-      }
-      engine->Stop();
-      // Crash: destroy without Close().
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    EngineConfig config;
-    config.design = SystemDesign::kConventional;
-    config.db.data_dir = base;
-    config.db.frame_budget = 256;
-    config.db.txn.durable_commits = true;
-    config.db.index_durability = im.mode;
+  std::filesystem::remove_all(base);
+  EngineConfig config;
+  config.design = SystemDesign::kConventional;
+  config.db.data_dir = base;
+  config.db.frame_budget = 256;
+  config.db.txn.durable_commits = true;
+  std::uint64_t ckpt_bytes = 0;
+  {
     auto engine = bench::MakeEngine(config);
-    const double recovery_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    const auto& stats = engine->db().recovery_stats();
-    std::printf("%-16s %14llu %12.1f %10llu %10llu\n", im.name,
-                static_cast<unsigned long long>(ckpt_bytes), recovery_ms,
-                static_cast<unsigned long long>(stats.redo_ops),
-                static_cast<unsigned long long>(stats.index_ops));
-    std::fflush(stdout);
+    Load(engine.get());
+    const Lsn before = engine->db().log()->next_lsn();
+    (void)engine->db().Checkpoint();
+    ckpt_bytes = engine->db().log()->next_lsn() - before;
+    // A little post-checkpoint work so recovery has a tail to replay.
+    Rng rng(42);
+    for (int i = 0; i < 500; ++i) {
+      TxnRequest req = UpdateTxn(rng);
+      (void)engine->Execute(req);
+    }
     engine->Stop();
-    (void)engine->db().Close();
+    // Crash: destroy without Close().
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  auto engine = bench::MakeEngine(config);
+  const double recovery_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+  const auto& stats = engine->db().recovery_stats();
+  std::printf("%-16s %14llu %12.1f %10llu %10llu\n", "logged",
+              static_cast<unsigned long long>(ckpt_bytes), recovery_ms,
+              static_cast<unsigned long long>(stats.redo_ops),
+              static_cast<unsigned long long>(stats.index_ops));
+  std::fflush(stdout);
+  engine->Stop();
+  (void)engine->db().Close();
+  engine.reset();
   std::filesystem::remove_all(base);
   std::printf(
-      "\nExpected shape: the snapshot checkpoint serializes every index\n"
-      "entry (bytes grow with the table; restart deserializes them all),\n"
-      "while the logged-index checkpoint records only the dirty-page,\n"
-      "txn, and partition tables — O(dirty) bytes regardless of index\n"
-      "size, with restart replaying just the WAL tail.\n");
+      "\nExpected shape: the checkpoint records only the dirty-page, txn,\n"
+      "and partition tables — O(dirty) bytes regardless of index size —\n"
+      "and restart replays just the WAL tail.\n");
 }
 
 }  // namespace

@@ -18,8 +18,7 @@ BufferPool::BufferPool(BufferPoolConfig config) : config_(std::move(config)) {
   }
   dir_root_ = std::make_unique<std::atomic<DirChunk*>[]>(kDirRootSize);
   frame_root_ = std::make_unique<std::atomic<FrameChunk*>[]>(kFrameRootSize);
-  swizzling_on_ = config_.enable_swizzling &&
-                  config_.unswizzle_child != nullptr &&
+  swizzling_on_ = config_.unswizzle_child != nullptr &&
                   config_.unswizzle_all != nullptr;
   if (config_.disk != nullptr) {
     // Keep the id allocator ahead of everything already on disk.
@@ -715,9 +714,8 @@ Status BufferPool::FlushPage(PageId id, LatchPolicy policy) {
   if (!ref) return Status::OK();  // already evicted (hence clean)
   if (!ref->dirty()) return Status::OK();
   if (!Evictable(ref->page_class())) {
-    // Volatile classes (catalog; index in snapshot mode) are rebuilt at
-    // restart; persisting them would only grow data.db with slots no
-    // reopen ever reads.
+    // Catalog pages are rebuilt at restart; persisting them would only
+    // grow data.db with slots no reopen ever reads.
     LatchGuard g(&ref->latch(), LatchMode::kShared, policy);
     ref->MarkClean();
     return Status::OK();

@@ -25,10 +25,9 @@
 // clean frames, whose steal is a pure detach — honors the WAL rule for
 // dirty victims (log forced durable up to the victim's page_lsn before the
 // write-back), and notifies eviction listeners so thread-private
-// PageCaches drop the frame. Heap frames are always candidates; index
-// frames join them in persistent-index mode (`persist_index_pages`, see
-// src/index/persistent) and stay resident in legacy snapshot mode.
-// Catalog frames always stay resident (rebuilt on restart).
+// PageCaches drop the frame. Heap and index frames are candidates (index
+// pages are physiologically logged, see src/index/persistent); catalog
+// frames always stay resident (rebuilt on restart).
 #ifndef PLP_BUFFER_BUFFER_POOL_H_
 #define PLP_BUFFER_BUFFER_POOL_H_
 
@@ -62,17 +61,10 @@ struct BufferPoolConfig {
   /// written back; must make the log durable up to that LSN. May be null
   /// (no logging, e.g. unit tests).
   std::function<void(Lsn)> wal_barrier;
-  /// Persistent-index mode: index-class frames join the eviction clock,
-  /// are written back by FlushPage, and appear in the dirty page table —
-  /// exactly like heap frames (their mutations are physiologically
-  /// logged, see src/index/persistent). When false (legacy snapshot mode)
-  /// index frames stay resident and "cleaning" them is a no-op, because
-  /// the index is rebuilt logically at restart.
-  bool persist_index_pages = false;
-  /// Pointer swizzling for resident index descents. Requires both hooks
-  /// below (the cell-rewrite knowledge lives in src/index); silently off
-  /// without them.
-  bool enable_swizzling = false;
+  // Pointer swizzling for resident index descents is on exactly when both
+  // unswizzle hooks are supplied (the cell-rewrite knowledge lives in
+  // src/index).
+
   /// Replaces any swizzled reference to `frame_index` inside `parent`
   /// (an internal index page) with the plain PageId `plain`. Called with
   /// the parent exclusively latched (or provably private). Returns true
@@ -207,8 +199,8 @@ class BufferPool {
   /// Up to `limit` currently-dirty page ids (page-cleaner scan).
   std::vector<PageId> DirtyPages(std::size_t limit);
 
-  /// (page id, rec_lsn) of every dirty persistable frame (heap, plus
-  /// index in persistent-index mode) — the dirty page table of a fuzzy
+  /// (page id, rec_lsn) of every dirty persistable frame (heap and
+  /// index, given a disk) — the dirty page table of a fuzzy
   /// checkpoint. A rec_lsn of 0 means "unknown, recover from the log
   /// start".
   std::vector<std::pair<PageId, Lsn>> DirtyPageTable();
@@ -301,10 +293,10 @@ class BufferPool {
   Shard& ShardFor(PageId id) { return *shards_[id % kNumShards]; }
 
   /// Page classes that may be stolen / written back. Heap always;
-  /// index only in persistent-index mode; catalog never.
+  /// index whenever the pool has a disk; catalog never.
   bool Evictable(PageClass c) const {
     return c == PageClass::kHeap ||
-           (c == PageClass::kIndex && config_.persist_index_pages);
+           (c == PageClass::kIndex && config_.disk != nullptr);
   }
 
   // Directory ops. Publish/Retract are called under the owning shard

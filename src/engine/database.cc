@@ -121,16 +121,12 @@ Database::Database(DatabaseConfig config)
         pc.frame_budget = config_.frame_budget;
         pc.disk = disk_.get();
         pc.metrics = &metrics_;
-        pc.persist_index_pages =
-            disk_ != nullptr &&
-            config_.index_durability == IndexDurability::kLoggedPages;
         if (disk_ != nullptr) {
           // WAL rule for dirty steals; log_ outlives every eviction.
           pc.wal_barrier = [this](Lsn lsn) { log_.FlushTo(lsn); };
         }
         // Every kIndex page in the engine is a BTreeNode, so the node
         // class supplies the pool's cell-rewrite (unswizzle) hooks.
-        pc.enable_swizzling = config_.enable_swizzling;
         pc.unswizzle_child = &BTreeNode::UnswizzleChildRef;
         pc.unswizzle_all = &BTreeNode::UnswizzleAll;
         return pc;
@@ -216,9 +212,8 @@ Status Database::LoadDurableState() {
     pool_.EnsureNextPageIdAtLeast(max_logged + 1);
   }
 
-  // 1. Catalog: recreate tables. In snapshot mode the fresh empty indexes
-  // ARE the rebuild target; in logged-index mode they are placeholders —
-  // nothing is logged for them (restoring_) and recovery adopts the real
+  // 1. Catalog: recreate tables. Their indexes are placeholders — nothing
+  // is logged for them (restoring_) and recovery adopts the real
   // partition layout from the checkpoint image / kPartitionTable records.
   restoring_ = true;
   {
@@ -358,18 +353,18 @@ Result<Table*> Database::CreateTableInternal(TableConfig config,
     }
     const auto id = static_cast<std::uint32_t>(tables_.size());
     auto table = std::make_unique<Table>(
-        id, std::move(config), &pool_, logged_index() ? &log_ : nullptr,
+        id, std::move(config), &pool_, durable() ? &log_ : nullptr,
         /*log_creation=*/!restoring_);
     raw = table.get();
     tables_.push_back(std::move(table));
     by_name_.emplace(raw->name(), raw);
   }
   if (persist) {
-    // Creation-before-catalog ordering (logged-index mode): the table's
-    // root images + partition record must be durable before the catalog
-    // names the table, or a crash could leave a cataloged table whose
-    // partition layout recovery can never adopt.
-    if (logged_index()) log_.FlushAll();
+    // Creation-before-catalog ordering: the table's root images +
+    // partition record must be durable before the catalog names the
+    // table, or a crash could leave a cataloged table whose partition
+    // layout recovery can never adopt.
+    log_.FlushAll();
     PLP_RETURN_IF_ERROR(PersistCatalog());
   }
   return raw;
@@ -409,32 +404,16 @@ Status Database::Checkpoint() {
   image.next_page_id = pool_.peek_next_page_id();
 
   {
+    // The payload records only the tiny partition-table baseline per
+    // table — page contents are covered by the dirty page table + WAL, so
+    // checkpoint cost is O(dirty + txns), independent of index size, and
+    // no quiescing is needed (truly fuzzy).
     TrackedMutexLock g(catalog_mu_);
-    if (logged_index()) {
-      // Persistent index: the payload records only the tiny partition-table
-      // baseline per table — page contents are covered by the dirty page
-      // table + WAL, so checkpoint cost is O(dirty + txns), independent of
-      // index size, and no quiescing is needed (truly fuzzy).
-      for (auto& table : tables_) {
-        CheckpointImage::TablePartitions parts;
-        parts.table_id = table->id();
-        parts.parts = table->primary()->PartitionEntries();
-        image.partitions.push_back(std::move(parts));
-      }
-    } else {
-      // Legacy snapshot mode: serialize every primary index. The caller
-      // must not run concurrent index writers (see src/io/checkpoint.h);
-      // readers are fine.
-      for (auto& table : tables_) {
-        CheckpointImage::TableSnapshot snap;
-        snap.table_id = table->id();
-        (void)table->primary()->ScanFrom("", [&](Slice k, Slice v) {
-          snap.entries.emplace_back(std::string(k.data(), k.size()),
-                                    std::string(v.data(), v.size()));
-          return true;
-        });
-        image.tables.push_back(std::move(snap));
-      }
+    for (auto& table : tables_) {
+      CheckpointImage::TablePartitions parts;
+      parts.table_id = table->id();
+      parts.parts = table->primary()->PartitionEntries();
+      image.partitions.push_back(std::move(parts));
     }
   }
 

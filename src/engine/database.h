@@ -3,7 +3,7 @@
 //
 // Two modes:
 //  * In-memory (default): the paper's evaluation setup — no files, the
-//    log is discarded or retained in RAM, frames never evict.
+//    log is discarded, frames never evict, and nothing is recoverable.
 //  * Durable (`DatabaseConfig::data_dir` set): a data file, a segmented
 //    on-disk WAL, a catalog file, and a checkpoint master record live
 //    under the directory. Construction replays the catalog and runs
@@ -59,9 +59,10 @@ using SecondaryKeyFn = std::function<std::string(Slice key, Slice payload)>;
 
 class Table {
  public:
-  /// `log` non-null enables the persistent (physiologically logged) index:
-  /// the table owns an IndexLogger and its primary MRBTree logs every page
-  /// mutation. `log_creation = false` builds restart placeholders whose
+  /// `log` non-null (durable databases) enables the persistent,
+  /// physiologically logged index: the table owns an IndexLogger and its
+  /// primary MRBTree logs every page mutation, tagged with the
+  /// transaction. `log_creation = false` builds restart placeholders whose
   /// partition layout recovery adopts from the checkpoint/WAL.
   Table(std::uint32_t id, TableConfig config, BufferPool* pool,
         LogManager* log = nullptr, bool log_creation = true);
@@ -76,10 +77,6 @@ class Table {
   HeapFile* heap() { return heap_.get(); }
   MRBTree* primary() { return primary_.get(); }
 
-  /// True when the primary index is persistent (page-backed, WAL-logged):
-  /// record ops then skip the legacy logical index records and tag the
-  /// tree's physiological records with their transaction instead.
-  bool logged_index() const { return logger_ != nullptr; }
   IndexLogger* index_logger() { return logger_.get(); }
 
   /// Adds a (non-partition-aligned) secondary index, always accessed with
@@ -106,21 +103,6 @@ class Table {
   std::vector<std::unique_ptr<Secondary>> secondaries_;
 };
 
-/// How durable databases persist their primary indexes.
-enum class IndexDurability {
-  /// Persistent pages (default): index nodes live in evictable frames,
-  /// every mutation is physiologically WAL-logged, checkpoints carry no
-  /// index payload, and restart redoes index history from the log
-  /// (src/index/persistent, docs/persistent_index.md).
-  kLoggedPages,
-  /// Legacy: the index is volatile; each checkpoint serializes a full
-  /// logical snapshot and restart rebuilds the tree from snapshot +
-  /// logical replay. Kept for comparison benchmarks
-  /// (bench/durability_overhead.cc). A data_dir must stick with one mode
-  /// for its lifetime.
-  kSnapshot,
-};
-
 struct DatabaseConfig {
   LogConfig log;
   TxnManagerConfig txn;
@@ -131,11 +113,6 @@ struct DatabaseConfig {
   /// Buffer-pool frame budget (0 = unlimited / never evict). Meaningful
   /// only with `data_dir`, which provides the backing store to steal to.
   std::size_t frame_budget = 0;
-  /// Primary-index durability mode (durable databases only).
-  IndexDurability index_durability = IndexDurability::kLoggedPages;
-  /// Pointer swizzling for resident index descents (see
-  /// docs/buffer_pool.md). On by default; off mainly for A/B comparisons.
-  bool enable_swizzling = true;
 };
 
 /// Bundles the shared-everything storage manager services: one buffer
@@ -157,17 +134,13 @@ class Database {
   Table* GetTable(const std::string& name);
   std::vector<Table*> tables();
 
+  /// True when the database lives under a data_dir (data file, WAL,
+  /// persistent indexes) and restart recovery applies.
   bool durable() const { return disk_ != nullptr; }
 
-  /// True when durable tables run the persistent (logged) index.
-  bool logged_index() const {
-    return durable() &&
-           config_.index_durability == IndexDurability::kLoggedPages;
-  }
-
   /// Fuzzy checkpoint: logs the dirty page table + active transactions +
-  /// primary-index snapshots, forces the record, publishes the master
-  /// record. Bounds restart work; does not flush data pages.
+  /// partition tables, forces the record, publishes the master record.
+  /// Bounds restart work; does not flush data pages.
   Status Checkpoint();
 
   /// Clean shutdown: flush the log, write every dirty page back, sync the

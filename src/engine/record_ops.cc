@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "src/txn/recovery.h"
-
 namespace plp {
 
 std::string RidToBytes(Rid rid) {
@@ -50,7 +48,6 @@ void BaseExecContext::LogHeapOpOnPage(LogType type, Page* page, Rid rid,
   rec.redo.assign(redo.data(), redo.size());
   rec.undo.assign(undo.data(), undo.size());
   const Lsn lsn = log_->Append(rec);
-  txn_->set_last_lsn(lsn);
   // WAL bookkeeping on the frame: page_lsn drives the steal barrier,
   // rec_lsn the fuzzy checkpoint's dirty page table. The caller (a
   // HeapFile mutation hook) still pins and exclusively holds the page, so
@@ -63,19 +60,6 @@ HeapFile::MutationHook BaseExecContext::HeapLogHook(LogType type, Slice redo,
   return [this, type, redo, undo](Page* page, SlotId slot) {
     LogHeapOpOnPage(type, page, Rid{page->id(), slot}, redo, undo);
   };
-}
-
-void BaseExecContext::LogIndexOp(LogType type, Slice key, Slice value) {
-  LogRecord rec;
-  rec.type = type;
-  rec.txn = txn_->id();
-  rec.table = table_->id();
-  if (type == LogType::kIndexInsert) {
-    rec.redo = RecoveryManager::EncodeIndexOp(key, value);
-  } else {
-    rec.undo = RecoveryManager::EncodeIndexOp(key, value);
-  }
-  txn_->set_last_lsn(log_->Append(rec));
 }
 
 Status BaseExecContext::PlaceRecord(Slice key, Slice payload, Rid* rid,
@@ -110,7 +94,6 @@ Status BaseExecContext::Read(Slice key, std::string* payload) {
 
 Status BaseExecContext::InsertClustered(Slice key, Slice payload) {
   PLP_RETURN_IF_ERROR(table_->primary()->Insert(key, payload, txn_->id()));
-  if (!table_->logged_index()) LogIndexOp(LogType::kIndexInsert, key, payload);
   for (Table::Secondary* sec : table_->secondaries()) {
     const std::string skey = sec->key_fn(key, payload) + key.ToString();
     PLP_RETURN_IF_ERROR(sec->index->Insert(skey, key));
@@ -133,10 +116,6 @@ Status BaseExecContext::UpdateClustered(Slice key, Slice payload) {
   std::string before;
   PLP_RETURN_IF_ERROR(table_->primary()->Probe(key, &before));
   PLP_RETURN_IF_ERROR(table_->primary()->Update(key, payload, txn_->id()));
-  if (!table_->logged_index()) {
-    LogIndexOp(LogType::kIndexDelete, key, before);
-    LogIndexOp(LogType::kIndexInsert, key, payload);
-  }
   for (Table::Secondary* sec : table_->secondaries()) {
     const std::string old_skey = sec->key_fn(key, before) + key.ToString();
     const std::string new_skey = sec->key_fn(key, payload) + key.ToString();
@@ -158,7 +137,6 @@ Status BaseExecContext::DeleteClustered(Slice key) {
   std::string before;
   PLP_RETURN_IF_ERROR(table_->primary()->Probe(key, &before));
   PLP_RETURN_IF_ERROR(table_->primary()->Delete(key, txn_->id()));
-  if (!table_->logged_index()) LogIndexOp(LogType::kIndexDelete, key, before);
   for (Table::Secondary* sec : table_->secondaries()) {
     (void)sec->index->Delete(sec->key_fn(key, before) + key.ToString());
   }
@@ -186,7 +164,6 @@ Status BaseExecContext::Insert(Slice key, Slice payload) {
         rid, HeapLogHook(LogType::kHeapDelete, Slice(), payload));
     return st;
   }
-  if (!table_->logged_index()) LogIndexOp(LogType::kIndexInsert, key, rid_bytes);
 
   // Secondary index maintenance (conventional access, Appendix E).
   for (Table::Secondary* sec : table_->secondaries()) {
@@ -299,7 +276,6 @@ Status BaseExecContext::Delete(Slice key) {
   PLP_RETURN_IF_ERROR(table_->heap()->Delete(
       rid, HeapLogHook(LogType::kHeapDelete, Slice(), before)));
   PLP_RETURN_IF_ERROR(table_->primary()->Delete(key, txn_->id()));
-  if (!table_->logged_index()) LogIndexOp(LogType::kIndexDelete, key, rid_bytes);
 
   for (Table::Secondary* sec : table_->secondaries()) {
     (void)sec->index->Delete(sec->key_fn(key, before) + key.ToString());

@@ -81,10 +81,6 @@ class BaseExecContext : public ExecContext {
                        Slice undo);
   /// Builds a MutationHook that logs `type` with the given images.
   HeapFile::MutationHook HeapLogHook(LogType type, Slice redo, Slice undo);
-  /// Logical primary-index record (legacy snapshot mode and in-memory
-  /// crash simulation). Persistent-index tables skip this: the tree logs
-  /// its own physiological records, tagged with the transaction.
-  void LogIndexOp(LogType type, Slice key, Slice value);
 
   void AddUndo(std::function<Status()> fn) {
     if (undo_sink_ != nullptr) undo_sink_->push_back(std::move(fn));

@@ -30,7 +30,7 @@ class MRBTree {
   ///
   /// With `logger`, sub-trees log their pages physiologically and the
   /// partition table is logically logged on create and after every
-  /// slice/meld (persistent-index mode). `log_creation = false` builds
+  /// slice/meld (durable databases). `log_creation = false` builds
   /// restart placeholders: nothing is logged, and the first
   /// AdoptPartitions() call replaces (and frees) the placeholder roots
   /// with the recovered ones.
@@ -44,7 +44,7 @@ class MRBTree {
   MRBTree& operator=(const MRBTree&) = delete;
 
   // -- Record operations (route via the ranges map, then delegate) --------
-  // `txn` tags the physiological WAL records in persistent-index mode
+  // `txn` tags the physiological WAL records of a logged tree
   // (loser-undo anchors); kInvalidTxnId marks a system/compensation op.
   Status Insert(Slice key, Slice value, TxnId txn = kInvalidTxnId);
   Status Probe(Slice key, std::string* value);
@@ -76,10 +76,10 @@ class MRBTree {
   /// Melds partition `p` into its left neighbor `p-1`.
   Status Merge(PartitionId p);
 
-  // -- Persistence (persistent-index mode) ---------------------------------
+  // -- Persistence (logged trees) ------------------------------------------
 
   /// Current (boundary, sub-tree root) pairs — the logically-logged
-  /// partition metadata a checkpoint records instead of an index snapshot.
+  /// partition metadata a checkpoint records.
   std::vector<std::pair<std::string, PageId>> PartitionEntries() const;
 
   /// Restart recovery: replaces the partition layout with recovered

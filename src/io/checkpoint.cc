@@ -31,15 +31,6 @@ std::string CheckpointImage::Encode() const {
   }
   PutU64(&out, next_txn_id);
   PutU32(&out, next_page_id);
-  PutU32(&out, static_cast<std::uint32_t>(tables.size()));
-  for (const TableSnapshot& t : tables) {
-    PutU32(&out, t.table_id);
-    PutU32(&out, static_cast<std::uint32_t>(t.entries.size()));
-    for (const auto& [k, v] : t.entries) {
-      PutBytes(&out, k);
-      PutBytes(&out, v);
-    }
-  }
   PutU32(&out, static_cast<std::uint32_t>(partitions.size()));
   for (const TablePartitions& t : partitions) {
     PutU32(&out, t.table_id);
@@ -82,24 +73,6 @@ Status CheckpointImage::Decode(const std::string& payload,
   }
   if (!r.U32(&img.next_page_id)) {
     return Status::Corruption("checkpoint: next page id");
-  }
-  if (!r.U32(&n)) return Status::Corruption("checkpoint: table count");
-  img.tables.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    TableSnapshot t;
-    std::uint32_t entries;
-    if (!r.U32(&t.table_id) || !r.U32(&entries)) {
-      return Status::Corruption("checkpoint: table header");
-    }
-    t.entries.reserve(entries);
-    for (std::uint32_t j = 0; j < entries; ++j) {
-      std::string k, v;
-      if (!r.Bytes(&k) || !r.Bytes(&v)) {
-        return Status::Corruption("checkpoint: index entry");
-      }
-      t.entries.emplace_back(std::move(k), std::move(v));
-    }
-    img.tables.push_back(std::move(t));
   }
   if (!r.U32(&n)) return Status::Corruption("checkpoint: partition count");
   img.partitions.reserve(n);

@@ -1,9 +1,9 @@
 // Fuzzy checkpoints.
 //
 // A checkpoint is one kCheckpoint log record whose payload serializes:
-//   * the dirty page table (page id -> rec_lsn, heap and — in
-//     persistent-index mode — index pages) — the redo scan can start at
-//     min(rec_lsn) instead of the log's beginning;
+//   * the dirty page table (page id -> rec_lsn, heap and index pages) —
+//     the redo scan can start at min(rec_lsn) instead of the log's
+//     beginning;
 //   * the active transaction table (txn id -> begin_lsn) — the undo
 //     low-water mark, and the seed of loser detection;
 //   * per-table MRBTree partition metadata (boundary -> sub-tree root),
@@ -14,12 +14,10 @@
 // in the master record file (atomic rename), which restart reads to find
 // where to begin.
 //
-// In persistent-index mode the checkpoint is truly fuzzy: payload size is
+// The checkpoint is truly fuzzy: index pages are physiologically logged
+// like heap pages, so the payload carries no index contents. Its size is
 // O(dirty pages + active txns + partitions), independent of index size,
-// and no quiescing is required. In legacy snapshot mode
-// (DatabaseConfig::index_durability == kSnapshot) the payload additionally
-// carries a logical snapshot of every table's primary index, which
-// requires no concurrent index writers.
+// and no quiescing is required.
 #ifndef PLP_IO_CHECKPOINT_H_
 #define PLP_IO_CHECKPOINT_H_
 
@@ -47,21 +45,12 @@ struct CheckpointImage {
   /// the mark here keeps the restart scan bounded by the checkpoint.
   PageId next_page_id = 1;
 
-  struct TableSnapshot {
-    std::uint32_t table_id = 0;
-    /// Primary-index entries (key -> value) at checkpoint time.
-    std::vector<std::pair<std::string, std::string>> entries;
-  };
-  /// Legacy snapshot mode only; empty in persistent-index mode (the
-  /// acceptance property: no serialized index nodes in the payload).
-  std::vector<TableSnapshot> tables;
-
   struct TablePartitions {
     std::uint32_t table_id = 0;
     /// MRBTree partition metadata: (start_key, sub-tree root page id).
     std::vector<std::pair<std::string, PageId>> parts;
   };
-  /// Persistent-index mode: the partition-table baseline per table.
+  /// The partition-table baseline per table.
   std::vector<TablePartitions> partitions;
 
   std::string Encode() const;

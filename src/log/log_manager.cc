@@ -43,12 +43,6 @@ LogManager::LogManager(LogConfig config) : config_(config) {
       };
     }
   }
-  if (!wal_ && config_.retain_for_recovery) {
-    sink = [this](const char* data, std::size_t size) {
-      MutexLock g(retained_mu_);
-      retained_.append(data, size);
-    };
-  }
   buffer_ =
       std::make_unique<LogBuffer>(config_.buffer_size, std::move(sink),
                                   start_lsn);
@@ -72,11 +66,6 @@ void LogManager::FlushTo(Lsn lsn) {
   flush_requests_.fetch_add(1, std::memory_order_relaxed);
   if (wal_ == nullptr) {
     buffer_->FlushTo(lsn);
-    return;
-  }
-  if (!config_.group_commit) {
-    buffer_->FlushTo(lsn);
-    SyncWal(lsn);
     return;
   }
   // Group commit: one leader drains + fsyncs for every waiter whose target
@@ -133,28 +122,11 @@ void LogManager::FlushAll() {
 
 Status LogManager::ScanFrom(
     Lsn from, const std::function<void(Lsn, const LogRecord&)>& fn) {
-  if (wal_ != nullptr) {
-    buffer_->FlushAll();
-    return wal_->ScanFrom(from, fn);
-  }
-  if (!config_.retain_for_recovery) {
-    return Status::NotSupported("log not retained; set retain_for_recovery");
+  if (wal_ == nullptr) {
+    return Status::NotSupported("in-memory log is not scannable; set wal_dir");
   }
   buffer_->FlushAll();
-  MutexLock g(retained_mu_);
-  std::size_t off = from >= retained_base_ ? from - retained_base_ : 0;
-  while (off < retained_.size()) {
-    LogRecord rec;
-    std::size_t consumed = 0;
-    if (!LogRecord::Deserialize(retained_.data() + off, retained_.size() - off,
-                                &rec, &consumed)) {
-      return Status::Corruption("truncated log record at offset " +
-                                std::to_string(off));
-    }
-    fn(retained_base_ + static_cast<Lsn>(off), rec);
-    off += consumed;
-  }
-  return Status::OK();
+  return wal_->ScanFrom(from, fn);
 }
 
 std::size_t LogManager::TruncateWalBelow(Lsn floor) {

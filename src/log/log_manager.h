@@ -1,16 +1,15 @@
 // The log manager: record-level API over the composable LogBuffer, plus an
 // offline scan used by restart recovery.
 //
-// Three backing modes:
-//  * discard (default)      — flushed bytes vanish; memory-resident
-//                             benchmark mode, as in the paper's evaluation.
-//  * retain_for_recovery    — flushed bytes are kept in RAM and can be
-//                             scanned (the seed's crash-simulation tests).
-//  * wal_dir set            — flushed bytes go to an on-disk segmented WAL
-//                             (src/io/wal_storage). FlushTo() then runs a
-//                             group commit: concurrent callers elect one
-//                             leader that drains the buffer and issues a
-//                             single fdatasync for the whole batch.
+// Two backing modes:
+//  * in memory (default) — flushed bytes vanish; the memory-resident
+//                          benchmark mode of the paper's evaluation. Such
+//                          a log cannot be scanned or recovered.
+//  * wal_dir set         — flushed bytes go to an on-disk segmented WAL
+//                          (src/io/wal_storage). FlushTo() then runs a
+//                          group commit: concurrent callers elect one
+//                          leader that drains the buffer and issues a
+//                          single fdatasync for the whole batch.
 #ifndef PLP_LOG_LOG_MANAGER_H_
 #define PLP_LOG_LOG_MANAGER_H_
 
@@ -34,16 +33,10 @@ class WalStorage;
 
 struct LogConfig {
   std::size_t buffer_size = 16u << 20;
-  /// When true, flushed bytes are retained in memory and can be scanned by
-  /// recovery. When false they are discarded after flush (memory-resident
-  /// benchmark mode, as in the paper's evaluation). Ignored when `wal_dir`
-  /// is set: the on-disk WAL is always scannable.
-  bool retain_for_recovery = false;
-  /// When non-empty, the log lives in segmented files under this directory.
+  /// When non-empty, the log lives in segmented files under this directory
+  /// and can be scanned; otherwise flushed bytes are discarded.
   std::string wal_dir;
   std::size_t segment_size = 8u << 20;
-  /// Batch concurrent FlushTo() callers into one fsync (wal mode only).
-  bool group_commit = true;
   /// Registry for the log.* metrics (appends, bytes, fsync latency, batch
   /// size, truncations); nullptr records into MetricsRegistry::Scratch().
   MetricsRegistry* metrics = nullptr;
@@ -80,8 +73,8 @@ class LogManager {
   /// in-memory logs.
   std::size_t TruncateWalBelow(Lsn floor);
 
-  /// Scans all retained records in LSN order. Requires a scannable backing
-  /// (wal mode or `retain_for_recovery`); flushes first.
+  /// Scans all records in LSN order. Requires wal mode (NotSupported for
+  /// an in-memory log); flushes first.
   Status Scan(const std::function<void(Lsn, const LogRecord&)>& fn) {
     return ScanFrom(0, fn);
   }
@@ -109,11 +102,6 @@ class LogManager {
   std::unique_ptr<WalStorage> wal_;
   std::unique_ptr<LogBuffer> buffer_;
 
-  Mutex retained_mu_;
-  // Flushed bytes, when retain_for_recovery.
-  std::string retained_ PLP_GUARDED_BY(retained_mu_);
-  Lsn retained_base_ PLP_GUARDED_BY(retained_mu_) = 0;
-
   // Group-commit coordinator state.
   Mutex gc_mu_;
   std::condition_variable gc_cv_;
@@ -131,7 +119,7 @@ class LogManager {
   Histogram* fsync_us_metric_ = nullptr;
   Histogram* sync_batch_bytes_metric_ = nullptr;
   /// Highest LSN a sync has covered, for batch-size accounting (distinct
-  /// from gc_synced_lsn_, which only group commit maintains).
+  /// from gc_synced_lsn_, which only FlushTo/FlushAll maintain).
   std::atomic<Lsn> synced_floor_metric_{0};
 };
 

@@ -12,8 +12,6 @@ const char* LogTypeName(LogType t) {
     case LogType::kHeapInsert: return "HEAP_INSERT";
     case LogType::kHeapUpdate: return "HEAP_UPDATE";
     case LogType::kHeapDelete: return "HEAP_DELETE";
-    case LogType::kIndexInsert: return "IDX_INSERT";
-    case LogType::kIndexDelete: return "IDX_DELETE";
     case LogType::kCheckpoint: return "CHECKPOINT";
     case LogType::kIndexLeafInsert: return "IDX_LEAF_INSERT";
     case LogType::kIndexLeafDelete: return "IDX_LEAF_DELETE";

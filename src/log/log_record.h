@@ -16,8 +16,7 @@ enum class LogType : std::uint8_t {
   kHeapInsert = 4,
   kHeapUpdate = 5,
   kHeapDelete = 6,
-  kIndexInsert = 7,
-  kIndexDelete = 8,
+  // 7 and 8 are retired (logical index records); do not reuse them.
   kCheckpoint = 9,
   // Physiological persistent-index records (src/index/persistent). Leaf
   // records are physical-to-page (rid.page_id), logical-within-page (key):

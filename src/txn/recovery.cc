@@ -1,7 +1,6 @@
 #include "src/txn/recovery.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -11,23 +10,6 @@
 #include "src/storage/slotted_page.h"
 
 namespace plp {
-
-std::string RecoveryManager::EncodeIndexOp(Slice key, Slice value) {
-  std::string out;
-  const std::uint16_t klen = static_cast<std::uint16_t>(key.size());
-  out.append(reinterpret_cast<const char*>(&klen), 2);
-  out.append(key.data(), key.size());
-  out.append(value.data(), value.size());
-  return out;
-}
-
-void RecoveryManager::DecodeIndexOp(Slice payload, std::string* key,
-                                    std::string* value) {
-  std::uint16_t klen;
-  std::memcpy(&klen, payload.data(), 2);
-  key->assign(payload.data() + 2, klen);
-  value->assign(payload.data() + 2 + klen, payload.size() - 2 - klen);
-}
 
 namespace {
 
@@ -39,167 +21,32 @@ void EnsureFormatted(Page* page) {
   }
 }
 
-}  // namespace
-
-Status RecoveryManager::Recover(BTree* index, Stats* stats) {
-  Stats local;
-
-  // Pass 1: analysis.
-  std::unordered_set<TxnId> winners;
-  std::unordered_set<TxnId> seen;
-  PLP_RETURN_IF_ERROR(log_->Scan([&](Lsn, const LogRecord& rec) {
-    if (rec.type == LogType::kCheckpoint || rec.txn == kInvalidTxnId) return;
-    seen.insert(rec.txn);
-    if (rec.type == LogType::kCommit) winners.insert(rec.txn);
-  }));
-  local.winners = winners.size();
-  local.losers = seen.size() - winners.size();
-
-  // Pass 2: redo heap history; collect loser ops for undo; replay winner
-  // index ops logically. Also remember the newest committed write per RID
-  // so the undo pass never clobbers a committed record that reused a slot
-  // freed by a runtime abort.
-  struct LoserOp {
-    LogType type;
-    Rid rid;
-    Lsn lsn;
-    std::string undo;
-  };
-  std::vector<LoserOp> loser_ops;
-  std::unordered_map<Rid, Lsn> last_committed;
-
-  auto heap_page = [&](PageId pid) {
-    Page* page = pool_->NewPageWithId(pid, PageClass::kHeap);
-    EnsureFormatted(page);
-    return page;
-  };
-
-  Status replay_status = Status::OK();
-  PLP_RETURN_IF_ERROR(log_->Scan([&](Lsn lsn, const LogRecord& rec) {
-    if (!replay_status.ok()) return;
-    const bool heap_loser =
-        (rec.type == LogType::kHeapInsert ||
-         rec.type == LogType::kHeapUpdate ||
-         rec.type == LogType::kHeapDelete) &&
-        rec.txn != kInvalidTxnId && winners.count(rec.txn) == 0;
-    switch (rec.type) {
-      case LogType::kHeapInsert:
-      case LogType::kHeapUpdate: {
-        if (heap_loser) break;  // not redone; see RecoverDatabase
-        Page* page = heap_page(rec.rid.page_id);
-        replay_status = SlottedPage(page->data()).PutAt(rec.rid.slot, rec.redo);
-        page->MarkDirty();
-        local.redo_ops++;
-        break;
-      }
-      case LogType::kHeapDelete: {
-        if (heap_loser) break;
-        Page* page = heap_page(rec.rid.page_id);
-        // Idempotent: deleting an already-free slot is fine.
-        (void)SlottedPage(page->data()).Delete(rec.rid.slot);
-        page->MarkDirty();
-        local.redo_ops++;
-        break;
-      }
-      case LogType::kIndexInsert:
-      case LogType::kIndexDelete: {
-        if (index != nullptr && winners.count(rec.txn) > 0) {
-          std::string key, value;
-          DecodeIndexOp(rec.redo.empty() ? rec.undo : rec.redo, &key, &value);
-          if (rec.type == LogType::kIndexInsert) {
-            Status st = index->Insert(key, value);
-            if (st.IsAlreadyExists()) st = index->Update(key, value);
-            replay_status = st;
-          } else {
-            Status st = index->Delete(key);
-            if (!st.IsNotFound()) replay_status = st;
-          }
-          local.index_ops++;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    if (replay_status.ok()) {
-      switch (rec.type) {
-        case LogType::kHeapInsert:
-        case LogType::kHeapUpdate:
-        case LogType::kHeapDelete:
-          // System records (txn == kInvalidTxnId, e.g. logged abort
-          // compensations) are repeat-history-only: treated like winners.
-          if (rec.txn != kInvalidTxnId && winners.count(rec.txn) == 0) {
-            loser_ops.push_back({rec.type, rec.rid, lsn, rec.undo});
-          } else {
-            last_committed[rec.rid] = lsn;
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }));
-  PLP_RETURN_IF_ERROR(replay_status);
-
-  // Pass 3: undo losers newest-first.
-  for (auto it = loser_ops.rbegin(); it != loser_ops.rend(); ++it) {
-    auto committed_it = last_committed.find(it->rid);
-    if (committed_it != last_committed.end() &&
-        committed_it->second > it->lsn) {
-      continue;  // a later committed write owns this slot now
-    }
-    Page* page = heap_page(it->rid.page_id);
-    SlottedPage sp(page->data());
-    switch (it->type) {
-      case LogType::kHeapInsert:
-        (void)sp.Delete(it->rid.slot);
-        break;
-      case LogType::kHeapUpdate:
-      case LogType::kHeapDelete:
-        PLP_RETURN_IF_ERROR(sp.PutAt(it->rid.slot, it->undo));
-        break;
-      default:
-        break;
-    }
-    page->MarkDirty();
-    local.undo_ops++;
-  }
-
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
+/// ARIES redo gate: apply `lsn` unless the page already reflects it.
+/// page_lsn 0 doubles as "never stamped" (a fresh or zeroed frame), so the
+/// log's first record — LSN 0 — still replays onto such a page; applying
+/// it again to a page whose only update it is, is idempotent.
+bool NeedsRedo(const Page* page, Lsn lsn) {
+  return lsn > page->page_lsn() || page->page_lsn() == 0;
 }
+
+}  // namespace
 
 Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
                                         Lsn checkpoint_lsn,
                                         const CheckpointImage& image,
                                         Stats* stats) {
   Stats local;
-  const bool logged_index = db->logged_index();
 
   std::unordered_map<std::uint32_t, Table*> tables_by_id;
   for (Table* t : db->tables()) tables_by_id[t->id()] = t;
 
-  if (logged_index) {
-    // Persistent index: the checkpoint carries only the partition-table
-    // baseline; page contents replay physically below. Newer
-    // kPartitionTable records seen during redo re-adopt.
-    for (const CheckpointImage::TablePartitions& parts : image.partitions) {
-      auto it = tables_by_id.find(parts.table_id);
-      if (it == tables_by_id.end()) continue;
-      PLP_RETURN_IF_ERROR(it->second->primary()->AdoptPartitions(parts.parts));
-    }
-  } else if (has_checkpoint) {
-    // Legacy snapshot mode: load the checkpoint's primary-index snapshots.
-    for (const CheckpointImage::TableSnapshot& snap : image.tables) {
-      auto it = tables_by_id.find(snap.table_id);
-      if (it == tables_by_id.end()) continue;
-      MRBTree* primary = it->second->primary();
-      for (const auto& [key, value] : snap.entries) {
-        Status st = primary->Insert(key, value);
-        if (st.IsAlreadyExists()) st = primary->Update(key, value);
-        PLP_RETURN_IF_ERROR(st);
-      }
-    }
+  // The checkpoint carries only the partition-table baseline; page
+  // contents replay physically below. Newer kPartitionTable records seen
+  // during redo re-adopt.
+  for (const CheckpointImage::TablePartitions& parts : image.partitions) {
+    auto it = tables_by_id.find(parts.table_id);
+    if (it == tables_by_id.end()) continue;
+    PLP_RETURN_IF_ERROR(it->second->primary()->AdoptPartitions(parts.parts));
   }
 
   const Lsn scan_start =
@@ -211,17 +58,15 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
   // System records (txn == kInvalidTxnId: SMOs, partition tables, logged
   // heap moves, compensations) are repeat-history-only — never losers.
   std::unordered_set<TxnId> committed;
-  std::unordered_map<TxnId, Lsn> abort_lsn;
   std::unordered_set<TxnId> seen;
   TxnId max_txn_id = 0;
   for (const auto& [txn, begin] : image.active_txns) seen.insert(txn);
-  PLP_RETURN_IF_ERROR(log_->ScanFrom(scan_start, [&](Lsn lsn,
+  PLP_RETURN_IF_ERROR(log_->ScanFrom(scan_start, [&](Lsn,
                                                      const LogRecord& rec) {
     if (rec.type == LogType::kCheckpoint || rec.txn == kInvalidTxnId) return;
     seen.insert(rec.txn);
     max_txn_id = std::max(max_txn_id, rec.txn);
     if (rec.type == LogType::kCommit) committed.insert(rec.txn);
-    if (rec.type == LogType::kAbort) abort_lsn[rec.txn] = lsn;
   }));
   local.winners = committed.size();
   local.losers = seen.size() - committed.size();
@@ -230,11 +75,10 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
     return txn == kInvalidTxnId || committed.count(txn) > 0;
   };
 
-  // Pass 2: redo. Heap and index-page history is repeated for every
-  // transaction (page-LSN-gated, so replay against whatever state the
-  // data file holds is idempotent); legacy logical index ops are applied
-  // for committed transactions only, on top of the snapshot. Loser
-  // bookkeeping feeds the undo passes below.
+  // Pass 2: redo. Index-page history is repeated for every transaction,
+  // heap history for winners and system records (page-LSN-gated, so
+  // replay against whatever state the data file holds is idempotent).
+  // Loser bookkeeping feeds the undo passes below.
   struct LoserHeapOp {
     LogType type;
     Rid rid;
@@ -244,16 +88,14 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
   };
   struct LoserIndexOp {
     LogType type;
-    TxnId txn;
     Lsn lsn;
     std::uint32_t table;
     std::string payload;  // EncodeIndexEntry(key, value-for-undo)
   };
   std::vector<LoserHeapOp> loser_heap;
-  std::vector<LoserIndexOp> loser_index;     // snapshot mode (pass 3a)
-  std::vector<LoserIndexOp> loser_anchors;   // logged mode (pass 3a')
+  std::vector<LoserIndexOp> loser_anchors;
   std::unordered_map<Rid, Lsn> last_committed;
-  // Key-level precedence for logged-mode index undo: the newest op on a
+  // Key-level precedence for index undo: the newest op on a
   // (table, key) by a winner or a system/compensation record wins over an
   // older loser op.
   std::unordered_map<std::string, Lsn> index_key_winner;
@@ -311,7 +153,7 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
         // its effect (page_lsn from the slot header covers it); replaying
         // anyway is not just wasted work — an old large record may no
         // longer fit the newer image and would abort recovery.
-        if (lsn > page->page_lsn()) {
+        if (NeedsRedo(page, lsn)) {
           SlottedPage sp(page->data());
           if (rec.type == LogType::kHeapDelete) {
             (void)sp.Delete(rec.rid.slot);
@@ -332,7 +174,7 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
             rec.type == LogType::kIndexLeafDelete ? rec.undo : rec.redo;
         DecodeIndexEntry(payload, &key, &value);
         Page* page = index_page(rec.rid.page_id);
-        if (lsn > page->page_lsn()) {
+        if (NeedsRedo(page, lsn)) {
           if (rec.type == LogType::kIndexLeafInsert) {
             RedoLeafInsert(page->data(), key, value);
           } else if (rec.type == LogType::kIndexLeafDelete) {
@@ -357,7 +199,7 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
           // Undo needs the before-image: the deleted/overwritten value
           // for delete/update, the key alone for insert.
           loser_anchors.push_back(
-              {rec.type, rec.txn, lsn, rec.table,
+              {rec.type, lsn, rec.table,
                rec.type == LogType::kIndexLeafInsert ? rec.redo : rec.undo});
         }
         break;
@@ -370,7 +212,7 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
         }
         for (const auto& [pid, img] : images) {
           Page* page = index_page(pid);
-          if (lsn > page->page_lsn()) {
+          if (NeedsRedo(page, lsn)) {
             if (!ApplyNodeImage(img, page->data())) {
               replay_status = Status::Corruption("bad SMO page image");
               break;
@@ -407,7 +249,7 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
         }
         for (const auto& [pid, img] : images) {
           Page* page = index_page(pid);
-          if (lsn > page->page_lsn()) {
+          if (NeedsRedo(page, lsn)) {
             if (!ApplyNodeImage(img, page->data())) {
               replay_status = Status::Corruption("bad repartition image");
               break;
@@ -422,65 +264,17 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
         replay_status = it->second->primary()->AdoptPartitions(parts);
         break;
       }
-      case LogType::kIndexInsert:
-      case LogType::kIndexDelete: {
-        if (logged_index) break;  // legacy records; absent in logged mode
-        auto it = tables_by_id.find(rec.table);
-        if (it == tables_by_id.end()) break;
-        if (committed.count(rec.txn) > 0) {
-          MRBTree* primary = it->second->primary();
-          std::string key, value;
-          DecodeIndexOp(rec.redo.empty() ? rec.undo : rec.redo, &key, &value);
-          if (rec.type == LogType::kIndexInsert) {
-            Status st = primary->Insert(key, value);
-            if (st.IsAlreadyExists()) st = primary->Update(key, value);
-            replay_status = st;
-          } else {
-            Status st = primary->Delete(key);
-            if (!st.IsNotFound()) replay_status = st;
-          }
-          local.index_ops++;
-        } else if (has_checkpoint && lsn < checkpoint_lsn) {
-          // A loser op baked into the index snapshot: needs reversal,
-          // unless the transaction's runtime abort (and therefore its
-          // logical compensation) happened before the snapshot was taken.
-          loser_index.push_back({rec.type, rec.txn, lsn, rec.table,
-                                 rec.redo.empty() ? rec.undo : rec.redo});
-        }
-        break;
-      }
       default:
         break;
     }
   }));
   PLP_RETURN_IF_ERROR(replay_status);
 
-  // Pass 3a (snapshot mode): reverse loser index ops the snapshot
-  // reflects.
-  for (auto it = loser_index.rbegin(); it != loser_index.rend(); ++it) {
-    auto ab = abort_lsn.find(it->txn);
-    if (ab != abort_lsn.end() && ab->second < checkpoint_lsn) {
-      continue;  // compensated before the snapshot; already clean
-    }
-    auto table_it = tables_by_id.find(it->table);
-    if (table_it == tables_by_id.end()) continue;
-    MRBTree* primary = table_it->second->primary();
-    std::string key, value;
-    DecodeIndexOp(it->payload, &key, &value);
-    if (it->type == LogType::kIndexInsert) {
-      (void)primary->Delete(key);
-    } else {
-      Status st = primary->Insert(key, value);
-      if (st.IsAlreadyExists()) (void)primary->Update(key, value);
-    }
-    local.index_ops++;
-  }
-
-  // Pass 3a' (logged mode): compensate loser leaf ops logically through
-  // the recovered trees, newest-first. The compensations go through the
-  // normal mutation paths, so they are themselves logged (as system
-  // records) and survive a crash during recovery. A later op on the same
-  // key by a winner or a system record takes precedence.
+  // Pass 3a: compensate loser leaf ops logically through the recovered
+  // trees, newest-first. The compensations go through the normal mutation
+  // paths, so they are themselves logged (as system records) and survive
+  // a crash during recovery. A later op on the same key by a winner or a
+  // system record takes precedence.
   for (auto it = loser_anchors.rbegin(); it != loser_anchors.rend(); ++it) {
     auto table_it = tables_by_id.find(it->table);
     if (table_it == tables_by_id.end()) continue;
@@ -547,10 +341,8 @@ Status RecoveryManager::RecoverDatabase(Database* db, bool has_checkpoint,
     local.undo_ops++;
   }
 
-  if (logged_index) {
-    // Adopted sub-trees learned their entry populations from pages only.
-    for (auto& [id, table] : tables_by_id) table->primary()->RecountEntries();
-  }
+  // Adopted sub-trees learned their entry populations from pages only.
+  for (auto& [id, table] : tables_by_id) table->primary()->RecountEntries();
 
   db->txns()->EnsureNextIdAtLeast(
       std::max(image.next_txn_id, max_txn_id + 1));

@@ -1,6 +1,11 @@
-// ARIES-lite restart recovery over the write-ahead log.
+// ARIES-style restart recovery of a durable Database over its on-disk WAL.
 //
-// Three passes, in the ARIES spirit adapted to our records:
+// One entry point, RecoverDatabase(), run by the Database constructor on
+// every durable open. It starts from the last fuzzy checkpoint
+// (src/io/checkpoint.h), adopts its MRBTree partition baseline, reads the
+// log segments from min(rec_lsn, active begin_lsns), and routes
+// table-scoped records to the right heap file / primary index of the
+// catalog-loaded Database. Three passes:
 //  1. Analysis — classify transactions into winners (committed) and losers
 //     (active or aborted at the crash). System records (txn ==
 //     kInvalidTxnId: SMO images, partition tables, logged compensations,
@@ -10,26 +15,17 @@
 //     skipped — the undo pass covers them and redoing them could
 //     transiently overcommit pages), index operations physiologically
 //     (leaf records + SMO/repartition page images; see
-//     docs/persistent_index.md). Legacy snapshot mode replays logical
-//     index ops for winners on top of the checkpoint snapshot.
-//  3. Undo — compensate loser index anchors logically through the
-//     recovered trees (logged, crash-safe) and roll back loser heap
-//     operations newest-first from before-images; the undone heap pages
-//     are flushed before the database opens (those writes are unlogged).
+//     docs/persistent_index.md).
+//  3. Undo — compensate loser index leaf ops logically through the
+//     recovered trees and roll back loser heap operations newest-first
+//     from before-images. Every undo is logged (index compensations as
+//     system leaf records, heap undos as CLRs: system heap records whose
+//     redo image is the compensation), so a crash during or after
+//     recovery replays them like any other history.
 //
-// Two entry points:
-//  * Recover()          — the seed's single-index form: whole-log scan into
-//    a fresh pool (memory-resident crash simulation).
-//  * RecoverDatabase()  — durable restart: starts from the last fuzzy
-//    checkpoint (src/io/checkpoint.h), reads log segments from disk,
-//    adopts the MRBTree partition baseline (or loads index snapshots in
-//    legacy mode), redoes history from min(rec_lsn, active begin_lsns),
-//    and routes table-scoped records to the right heap file / primary
-//    index of a catalog-loaded Database.
-//
-// Runtime aborts log their compensations as system records; recovery-time
-// undo remains value-based (full CLR chains are a ROADMAP follow-on). A
-// same-RID write by a later winner takes precedence over a loser's undo.
+// A same-RID (same-key) write by a later winner takes precedence over a
+// loser's undo. In-memory databases have no scannable log and are not
+// recoverable.
 #ifndef PLP_TXN_RECOVERY_H_
 #define PLP_TXN_RECOVERY_H_
 
@@ -37,7 +33,6 @@
 
 #include "src/buffer/buffer_pool.h"
 #include "src/common/status.h"
-#include "src/index/btree.h"
 #include "src/io/checkpoint.h"
 #include "src/log/log_manager.h"
 
@@ -59,22 +54,14 @@ class RecoveryManager {
   RecoveryManager(LogManager* log, BufferPool* pool)
       : log_(log), pool_(pool) {}
 
-  /// Rebuilds heap pages (and optionally a primary index) from the log.
-  /// `index` may be null. The pool should be fresh (crash wiped memory).
-  Status Recover(BTree* index, Stats* stats);
-
-  /// Durable restart over a catalog-loaded Database (tables exist, primary
-  /// indexes empty, heap page lists rebuilt from the data file).
+  /// Durable restart over a catalog-loaded Database (tables exist with
+  /// placeholder primary indexes, heap page lists rebuilt from the data
+  /// file).
   /// `checkpoint_lsn`/`image` come from the master record; pass
   /// has_checkpoint=false for a first start / pre-checkpoint crash.
   Status RecoverDatabase(Database* db, bool has_checkpoint,
                          Lsn checkpoint_lsn, const CheckpointImage& image,
                          Stats* stats);
-
-  /// Serialization helpers shared with the engines' logging sites.
-  static std::string EncodeIndexOp(Slice key, Slice value);
-  static void DecodeIndexOp(Slice payload, std::string* key,
-                            std::string* value);
 
  private:
   LogManager* log_;

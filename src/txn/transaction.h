@@ -30,9 +30,6 @@ class Transaction {
   TxnState state() const { return state_; }
   void set_state(TxnState s) { state_ = s; }
 
-  Lsn last_lsn() const { return last_lsn_; }
-  void set_last_lsn(Lsn lsn) { last_lsn_ = lsn; }
-
   /// LSN of the begin record — the undo low-water mark a fuzzy checkpoint
   /// stores for active transactions.
   Lsn begin_lsn() const { return begin_lsn_; }
@@ -61,7 +58,6 @@ class Transaction {
  private:
   const TxnId id_;
   TxnState state_ = TxnState::kActive;
-  Lsn last_lsn_ = kInvalidLsn;
   Lsn begin_lsn_ = kInvalidLsn;
   std::vector<std::string> held_locks_;
   std::vector<std::function<Status()>> undo_actions_;

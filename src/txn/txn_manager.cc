@@ -32,7 +32,6 @@ Transaction* TxnManager::Begin() {
   rec.type = LogType::kBegin;
   rec.txn = id;
   const Lsn begin_lsn = log_->Append(rec);
-  raw->set_last_lsn(begin_lsn);
   raw->set_begin_lsn(begin_lsn);
 
   {
@@ -48,7 +47,6 @@ Status TxnManager::Commit(Transaction* txn) {
   rec.type = LogType::kCommit;
   rec.txn = txn->id();
   const Lsn lsn = log_->Append(rec);
-  txn->set_last_lsn(lsn);
   if (txn->trace() != nullptr) {
     TxnTimeline::Stamp(txn->trace()->append_ns, NowNanos());
   }
@@ -76,7 +74,7 @@ Status TxnManager::Abort(Transaction* txn) {
   LogRecord rec;
   rec.type = LogType::kAbort;
   rec.txn = txn->id();
-  txn->set_last_lsn(log_->Append(rec));
+  log_->Append(rec);
   txn->set_state(TxnState::kAborted);
   if (locks_ != nullptr) {
     locks_->ReleaseAll(txn->id(), txn->held_locks());

@@ -134,8 +134,8 @@ TEST(PageCleanerTest, DeclinedDelegationFallsBackToDirectClean) {
   EXPECT_FALSE(a->dirty());
 }
 
-// Persistent-index mode: index-class frames are eviction candidates and
-// read back from disk with class and content intact, under concurrent
+// Index-class frames are eviction candidates whenever the pool has a disk,
+// and read back from disk with class and content intact, under concurrent
 // mixed fix/allocate load (the eviction-vs-pin races the pins must win).
 TEST(BufferPoolTest, IndexFramesEvictUnderLoadAndReadBack) {
   const auto path = std::filesystem::temp_directory_path() /
@@ -148,7 +148,6 @@ TEST(BufferPoolTest, IndexFramesEvictUnderLoadAndReadBack) {
   BufferPoolConfig config;
   config.frame_budget = 8;
   config.disk = disk.get();
-  config.persist_index_pages = true;
   BufferPool pool(config);
 
   constexpr int kPages = 48;
@@ -233,34 +232,6 @@ TEST(BufferPoolTest, PinnedMissesRetryAfterStealWithoutDeadlock) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(pool.disk_reads(), 0u);
-  std::filesystem::remove(path);
-}
-
-// Legacy snapshot mode keeps index frames resident: only heap frames are
-// clock candidates.
-TEST(BufferPoolTest, IndexFramesStayResidentWithoutPersistIndex) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("plp_bp_index_resident_" + std::to_string(::getpid()) +
-                     ".db");
-  std::filesystem::remove(path);
-  std::unique_ptr<DiskManager> disk;
-  ASSERT_TRUE(DiskManager::Open(path.string(), &disk).ok());
-
-  BufferPoolConfig config;
-  config.frame_budget = 4;
-  config.disk = disk.get();
-  BufferPool pool(config);
-
-  std::vector<PageId> ids;
-  for (int i = 0; i < 16; ++i) {
-    PageRef page = pool.AllocatePage(PageClass::kIndex, UINT32_MAX);
-    page->MarkDirty();
-    ids.push_back(page->id());
-  }
-  for (PageId id : ids) {
-    EXPECT_NE(pool.Fix(id), nullptr) << "index frame was evicted";
-  }
-  EXPECT_EQ(pool.evictions(), 0u);
   std::filesystem::remove(path);
 }
 

@@ -268,8 +268,7 @@ TEST_F(DurabilityTest, CheckpointPayloadExcludesIndexNodes) {
   CheckpointImage image;
   ASSERT_TRUE(CheckpointImage::Decode(payload, &image).ok());
 
-  // No index snapshot; only the tiny partition-table baseline.
-  EXPECT_TRUE(image.tables.empty());
+  // No index contents; only the tiny partition-table baseline.
   ASSERT_EQ(image.partitions.size(), 1u);
   EXPECT_EQ(image.partitions[0].parts.size(), 1u);  // single partition
 
@@ -282,59 +281,6 @@ TEST_F(DurabilityTest, CheckpointPayloadExcludesIndexNodes) {
 
   engine->Stop();
   ASSERT_TRUE(engine->db().Close().ok());
-}
-
-// The legacy snapshot mode stays available (bench comparison) and still
-// recovers; its checkpoint payload demonstrably scales with the index.
-TEST_F(DurabilityTest, SnapshotModeStillRecoversAndScalesWithIndex) {
-  EngineConfig config = MakeConfig();
-  config.db.index_durability = IndexDurability::kSnapshot;
-  {
-    auto created = CreateEngine(config);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    auto engine = std::move(created).value();
-    engine->Start();
-    ASSERT_TRUE(engine->CreateTable("t", {""}).ok());
-    for (std::uint32_t k = 0; k < 500; ++k) {
-      ASSERT_TRUE(InsertOne(engine.get(), k).ok());
-    }
-    ASSERT_TRUE(engine->db().Checkpoint().ok());
-
-    Lsn ckpt_lsn = 0;
-    ASSERT_TRUE(
-        ReadMasterRecord((dir_ / "CHECKPOINT").string(), &ckpt_lsn).ok());
-    std::string payload;
-    ASSERT_TRUE(engine->db()
-                    .log()
-                    ->ScanFrom(ckpt_lsn,
-                               [&](Lsn lsn, const LogRecord& rec) {
-                                 if (lsn == ckpt_lsn &&
-                                     rec.type == LogType::kCheckpoint) {
-                                   payload = rec.redo;
-                                 }
-                               })
-                    .ok());
-    CheckpointImage image;
-    ASSERT_TRUE(CheckpointImage::Decode(payload, &image).ok());
-    ASSERT_EQ(image.tables.size(), 1u);
-    EXPECT_EQ(image.tables[0].entries.size(), 500u);
-    EXPECT_GT(payload.size(), 500u * 6u);  // snapshot scales with entries
-
-    for (std::uint32_t k = 500; k < 600; ++k) {
-      ASSERT_TRUE(InsertOne(engine.get(), k).ok());
-    }
-    engine->Stop();  // crash
-  }
-  auto created = CreateEngine(config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  auto engine = std::move(created).value();
-  engine->Start();
-  ASSERT_TRUE(engine->db().open_status().ok())
-      << engine->db().open_status().ToString();
-  for (std::uint32_t k = 0; k < 600; k += 17) {
-    EXPECT_EQ(ReadOne(engine.get(), k), Payload(k)) << k;
-  }
-  engine->Stop();
 }
 
 // PLP-Leaf durable crash/restart: leaf splits move heap records at

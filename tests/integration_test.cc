@@ -2,12 +2,13 @@
 // between designs, and end-to-end recovery after a workload.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "src/common/key_encoding.h"
 #include "src/engine/engine.h"
 #include "src/sync/cs_profiler.h"
-#include "src/txn/recovery.h"
 #include "src/workload/tatp.h"
 #include "src/workload/workload_driver.h"
 
@@ -115,29 +116,34 @@ TEST(DesignComparisonTest, TotalCriticalSectionsShrink) {
   EXPECT_LT(plp_cs, conv_cs);
 }
 
-// End-to-end durability: run a workload with a retained log, "crash",
-// recover into a fresh buffer pool, and verify committed data survived.
+// End-to-end durability: run a workload on a durable directory, crash
+// (destroy the engine without Close()), reopen, and verify committed data
+// survived while the aborted transaction's insert did not.
 TEST(EndToEndRecoveryTest, CommittedWorkSurvivesCrash) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("plp_e2e_recovery_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   EngineConfig config;
   config.design = SystemDesign::kConventional;
-  config.db.log.retain_for_recovery = true;
-  auto created = CreateEngine(config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  auto engine = std::move(created).value();
-  engine->Start();
-  auto result = engine->CreateTable("t", {""});
-  ASSERT_TRUE(result.ok());
-
-  for (std::uint32_t k = 0; k < 200; ++k) {
-    TxnRequest req;
-    const std::string key = KeyU32(k);
-    req.Add(0, "t", key, [key, k](ExecContext& ctx) {
-      return ctx.Insert(key, "value-" + std::to_string(k));
-    });
-    ASSERT_TRUE(engine->Execute(req).ok());
-  }
-  // A transaction that aborts: its writes must not surface after restart.
+  config.db.data_dir = dir.string();
+  config.db.txn.durable_commits = true;
   {
+    auto created = CreateEngine(config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto engine = std::move(created).value();
+    engine->Start();
+    ASSERT_TRUE(engine->CreateTable("t", {""}).ok());
+
+    for (std::uint32_t k = 0; k < 200; ++k) {
+      TxnRequest req;
+      const std::string key = KeyU32(k);
+      req.Add(0, "t", key, [key, k](ExecContext& ctx) {
+        return ctx.Insert(key, "value-" + std::to_string(k));
+      });
+      ASSERT_TRUE(engine->Execute(req).ok());
+    }
+    // A transaction that aborts: its writes must not surface after restart.
     TxnRequest req;
     const std::string key = KeyU32(1000);
     req.Add(0, "t", key, [key](ExecContext& ctx) {
@@ -145,23 +151,36 @@ TEST(EndToEndRecoveryTest, CommittedWorkSurvivesCrash) {
       return Status::Aborted("simulated failure");
     });
     EXPECT_FALSE(engine->Execute(req).ok());
-  }
-  engine->Stop();
+    engine->Stop();
+  }  // crash: no Close()
 
-  // "Crash": recover from the log into a fresh pool + index.
-  BufferPool fresh;
-  BTree index(&fresh, LatchPolicy::kNone);
-  RecoveryManager rm(engine->db().log(), &fresh);
-  RecoveryManager::Stats stats;
-  ASSERT_TRUE(rm.Recover(&index, &stats).ok());
-  EXPECT_GE(stats.winners, 200u);
+  auto created = CreateEngine(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto engine = std::move(created).value();
+  engine->Start();
+  ASSERT_TRUE(engine->db().open_status().ok())
+      << engine->db().open_status().ToString();
+  EXPECT_GE(engine->db().recovery_stats().winners, 200u);
 
-  std::string rid_bytes;
+  auto read = [&](std::uint32_t k, std::string* payload) {
+    TxnRequest req;
+    const std::string key = KeyU32(k);
+    req.Add(0, "t", key, [key, payload](ExecContext& ctx) {
+      return ctx.Read(key, payload);
+    });
+    return engine->Execute(req);
+  };
+  std::string payload;
   for (std::uint32_t k = 0; k < 200; k += 17) {
-    ASSERT_TRUE(index.Probe(KeyU32(k), &rid_bytes).ok()) << k;
+    ASSERT_TRUE(read(k, &payload).ok()) << k;
+    EXPECT_EQ(payload, "value-" + std::to_string(k));
   }
-  EXPECT_TRUE(index.Probe(KeyU32(1000), &rid_bytes).IsNotFound())
+  EXPECT_FALSE(read(1000, &payload).ok())
       << "aborted transaction's insert must not be recovered";
+  EXPECT_EQ(engine->db().GetTable("t")->primary()->num_entries(), 200u);
+  engine->Stop();
+  engine.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // MRBTree in a conventional system (Appendix B): the engine wires the

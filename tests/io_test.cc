@@ -342,21 +342,37 @@ TEST_F(IoTest, GroupCommitBatchesFsyncs) {
 
 TEST_F(IoTest, CheckpointImageRoundTrip) {
   CheckpointImage img;
+  img.begin_lsn = 280;
   img.dirty_pages = {{3, 100}, {9, 250}};
   img.active_txns = {{11, 90}, {12, 240}};
   img.next_txn_id = 13;
-  CheckpointImage::TableSnapshot snap;
-  snap.table_id = 0;
-  snap.entries = {{"alpha", "rid-1"}, {"beta", std::string("\0\x01", 2)}};
-  img.tables.push_back(snap);
+  img.next_page_id = 42;
+  CheckpointImage::TablePartitions single;
+  single.table_id = 0;
+  single.parts = {{"", 5}};
+  CheckpointImage::TablePartitions multi;
+  multi.table_id = 1;
+  multi.parts = {{"", 7}, {std::string("\0\x01", 2), 19}, {"m", 23}};
+  img.partitions = {single, multi};
 
   CheckpointImage out;
   ASSERT_TRUE(CheckpointImage::Decode(img.Encode(), &out).ok());
+  EXPECT_EQ(out.begin_lsn, 280u);
   EXPECT_EQ(out.dirty_pages, img.dirty_pages);
   EXPECT_EQ(out.active_txns, img.active_txns);
   EXPECT_EQ(out.next_txn_id, 13u);
-  ASSERT_EQ(out.tables.size(), 1u);
-  EXPECT_EQ(out.tables[0].entries, snap.entries);
+  EXPECT_EQ(out.next_page_id, 42u);
+  ASSERT_EQ(out.partitions.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(out.partitions[i].table_id, img.partitions[i].table_id);
+    EXPECT_EQ(out.partitions[i].parts, img.partitions[i].parts);
+  }
+  // A payload cut anywhere is rejected, never half-decoded.
+  const std::string payload = img.Encode();
+  EXPECT_EQ(
+      CheckpointImage::Decode(payload.substr(0, payload.size() - 1), &out)
+          .code(),
+      StatusCode::kCorruption);
 
   EXPECT_EQ(img.ScanStart(300), 90u);  // min of dpt/txn/checkpoint lsns
   EXPECT_EQ(CheckpointImage{}.ScanStart(300), 300u);
@@ -520,23 +536,6 @@ TEST_F(IoTest, CheckpointTruncatesUnreachableWalSegments) {
     EXPECT_EQ(*holder, "payload-" + std::string(64, 'p'));
   }
   engine->Stop();
-}
-
-TEST_F(IoTest, IndexPagesStayResident) {
-  std::unique_ptr<DiskManager> dm;
-  ASSERT_TRUE(DiskManager::Open(Path("data.db"), &dm).ok());
-  BufferPoolConfig pc;
-  pc.frame_budget = 2;
-  pc.disk = dm.get();
-  BufferPool pool(pc);
-
-  Page* index_page = pool.NewPage(PageClass::kIndex);
-  const PageId index_id = index_page->id();
-  for (int i = 0; i < 8; ++i) {
-    PageRef p = pool.AllocatePage(PageClass::kHeap, 0);
-    SlottedPage::Init(p->data());
-  }
-  EXPECT_EQ(pool.FixUnlocked(index_id), index_page);
 }
 
 }  // namespace

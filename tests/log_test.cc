@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,29 @@
 
 namespace plp {
 namespace {
+
+// A WAL directory private to one test, removed on scope exit.
+class ScratchWalDir {
+ public:
+  ScratchWalDir()
+      : path_(std::filesystem::temp_directory_path() /
+              ("plp_log_test_" + std::to_string(::getpid()) + "_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name())) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchWalDir() { std::filesystem::remove_all(path_); }
+
+  LogConfig Config() const {
+    LogConfig config;
+    config.wal_dir = path_.string();
+    return config;
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 TEST(LogRecordTest, SerializeRoundTrip) {
   LogRecord rec;
@@ -123,7 +148,7 @@ TEST(LogBufferTest, FlushToMakesPrefixDurable) {
 }
 
 TEST(LogManagerTest, ScanRequiresRetention) {
-  LogManager log;  // retain_for_recovery = false
+  LogManager log;  // in memory: flushed bytes are discarded
   LogRecord rec;
   rec.type = LogType::kBegin;
   rec.txn = 1;
@@ -133,9 +158,9 @@ TEST(LogManagerTest, ScanRequiresRetention) {
 }
 
 TEST(LogManagerTest, ScanReturnsRecordsInOrder) {
-  LogConfig config;
-  config.retain_for_recovery = true;
-  LogManager log(config);
+  ScratchWalDir dir;
+  LogManager log(dir.Config());
+  ASSERT_TRUE(log.open_status().ok());
   for (std::uint64_t i = 1; i <= 5; ++i) {
     LogRecord rec;
     rec.type = LogType::kHeapInsert;
@@ -152,9 +177,9 @@ TEST(LogManagerTest, ScanReturnsRecordsInOrder) {
 }
 
 TEST(LogManagerTest, ConcurrentAppendScanConsistent) {
-  LogConfig config;
-  config.retain_for_recovery = true;
-  LogManager log(config);
+  ScratchWalDir dir;
+  LogManager log(dir.Config());
+  ASSERT_TRUE(log.open_status().ok());
   constexpr int kThreads = 4, kEach = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {

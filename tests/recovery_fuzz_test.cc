@@ -1,17 +1,22 @@
 // Recovery fuzz: run a randomized workload where transactions commit or
-// abort at random, "crash" at an arbitrary point, recover into a fresh
-// buffer pool, and compare the recovered index against a reference model
-// that applies committed transactions only.
+// abort at random, crash (destroy the engine without Close()) at an
+// arbitrary point, reopen the durable directory, and compare the recovered
+// table against a reference model that applies committed transactions
+// only.
 //
-// Two flavors:
-//  * RecoveryFuzzTest        — the seed's memory-resident form (retained
-//    log, fresh pool, single whole-log replay).
+// Three flavors:
+//  * RecoveryFuzzTest        — one long workload and one crash, with no
+//    frame budget: nothing is evicted, so the data file holds only what
+//    the page cleaner wrote back, and restart redoes the rest of the
+//    history from the WAL.
 //  * DurableRecoveryFuzzTest — a simulated-crash loop over the on-disk
 //    WAL + checkpoints: several generations of random transactions, each
 //    ended by a crash (or occasionally a clean close) at a random kill
 //    point, with fuzzy checkpoints sprinkled at random; every reopen
 //    recovers from data file + WAL + checkpoint and is verified against
 //    the committed-only model over the whole key space.
+//  * DurableSmoFuzzTest      — the crash loop on a PLP design, with leaf
+//    splits and repartitions between crash points.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -28,7 +33,6 @@
 #include "src/index/btree_node.h"
 #include "src/index/persistent/index_log.h"
 #include "src/io/disk_manager.h"
-#include "src/txn/recovery.h"
 
 namespace plp {
 namespace {
@@ -144,7 +148,24 @@ void DumpKeyHistory(Database* db, std::uint32_t k, Rid rid) {
   });
 }
 
-class RecoveryFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+// A seed-parameterized test owning a fresh data directory per case.
+class CrashDirTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  explicit CrashDirTest(const std::string& prefix)
+      : dir_(std::filesystem::temp_directory_path() /
+             (prefix + std::to_string(::getpid()) + "_" +
+              std::to_string(GetParam()))) {
+    std::filesystem::remove_all(dir_);
+  }
+  ~CrashDirTest() override { std::filesystem::remove_all(dir_); }
+
+  std::filesystem::path dir_;
+};
+
+class RecoveryFuzzTest : public CrashDirTest {
+ protected:
+  RecoveryFuzzTest() : CrashDirTest("plp_fuzz_") {}
+};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryFuzzTest,
                          ::testing::Values(1, 7, 42, 1234, 99999),
@@ -155,7 +176,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryFuzzTest,
 TEST_P(RecoveryFuzzTest, RecoveredStateMatchesCommittedModel) {
   EngineConfig config;
   config.design = SystemDesign::kConventional;
-  config.db.log.retain_for_recovery = true;
+  config.db.data_dir = dir_.string();
+  config.db.txn.durable_commits = true;
   auto created = CreateEngine(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   auto engine = std::move(created).value();
@@ -216,43 +238,44 @@ TEST_P(RecoveryFuzzTest, RecoveredStateMatchesCommittedModel) {
       model = std::move(staged);
     }
   }
-  engine->Stop();  // crash point: nothing flushed beyond the log
+  engine->Stop();
+  engine.reset();  // crash point: no Close()
 
-  BufferPool fresh;
-  BTree index(&fresh, LatchPolicy::kNone);
-  RecoveryManager rm(engine->db().log(), &fresh);
-  RecoveryManager::Stats stats;
-  ASSERT_TRUE(rm.Recover(&index, &stats).ok());
+  created = CreateEngine(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  engine = std::move(created).value();
+  engine->Start();
+  ASSERT_TRUE(engine->db().open_status().ok())
+      << engine->db().open_status().ToString();
 
-  // The recovered index holds exactly the committed keys; every key's
-  // recovered RID points at the record whose heap redo also survived.
-  EXPECT_EQ(index.num_entries(), model.size());
+  // The recovered index holds exactly the committed keys, and every key's
+  // RID reaches the record its heap redo restored.
+  MRBTree* primary = engine->db().GetTable("t")->primary();
+  EXPECT_EQ(primary->num_entries(), model.size());
   for (const auto& [k, expected] : model) {
-    std::string rid_bytes;
-    ASSERT_TRUE(index.Probe(KeyU32(k), &rid_bytes).ok()) << k;
-    Rid rid;
-    std::memcpy(&rid.page_id, rid_bytes.data(), 4);
-    std::memcpy(&rid.slot, rid_bytes.data() + 4, 2);
-    Page* page = fresh.FixUnlocked(rid.page_id);
-    ASSERT_NE(page, nullptr) << k;
+    TxnRequest req;
+    const std::string key = KeyU32(k);
+    auto payload = std::make_shared<std::string>();
+    req.Add(0, "t", key, [key, payload](ExecContext& ctx) {
+      return ctx.Read(key, payload.get());
+    });
+    ASSERT_TRUE(engine->Execute(req).ok()) << k;
+    EXPECT_EQ(*payload, expected) << k;
   }
   // And no uncommitted key leaked in.
-  index.ForEachEntry([&](Slice key, Slice) {
-    EXPECT_EQ(model.count(DecodeU32(key)), 1u);
-  });
+  ASSERT_TRUE(primary
+                  ->ScanFrom("",
+                             [&](Slice key, Slice) {
+                               EXPECT_EQ(model.count(DecodeU32(key)), 1u);
+                               return true;
+                             })
+                  .ok());
+  engine->Stop();
 }
 
-class DurableRecoveryFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
+class DurableRecoveryFuzzTest : public CrashDirTest {
  protected:
-  DurableRecoveryFuzzTest() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("plp_durable_fuzz_" + std::to_string(::getpid()) + "_" +
-            std::to_string(GetParam()));
-    std::filesystem::remove_all(dir_);
-  }
-  ~DurableRecoveryFuzzTest() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  DurableRecoveryFuzzTest() : CrashDirTest("plp_durable_fuzz_") {}
 };
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DurableRecoveryFuzzTest,
@@ -393,17 +416,9 @@ TEST_P(DurableRecoveryFuzzTest, CommittedStateSurvivesCrashLoop) {
 // then crashes at a random point. Every reopen must recover the index
 // purely from WAL redo — committed records reachable with exact payloads,
 // partition boundaries intact, structural invariants holding.
-class DurableSmoFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
+class DurableSmoFuzzTest : public CrashDirTest {
  protected:
-  DurableSmoFuzzTest() {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("plp_smo_fuzz_" + std::to_string(::getpid()) + "_" +
-            std::to_string(GetParam()));
-    std::filesystem::remove_all(dir_);
-  }
-  ~DurableSmoFuzzTest() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  DurableSmoFuzzTest() : CrashDirTest("plp_smo_fuzz_") {}
 };
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DurableSmoFuzzTest,

@@ -90,16 +90,17 @@ TEST_F(TxnTest, XctMgrCriticalSectionsCounted) {
 }
 
 TEST(TxnDurabilityTest, DurableCommitFlushesLog) {
-  LogConfig log_config;
-  log_config.retain_for_recovery = true;
-  LogManager log(log_config);
+  LogManager log;  // in memory: durable_lsn() is the flushed position
   LockManager locks;
   TxnManagerConfig config;
   config.durable_commits = true;
   TxnManager mgr(&log, &locks, config);
   Transaction* t = mgr.Begin();
+  // The commit record is the next append; `t` is retired (freed) once
+  // Commit returns, so nothing may be read from it afterwards.
+  const Lsn commit_lsn = log.next_lsn();
   ASSERT_TRUE(mgr.Commit(t).ok());
-  EXPECT_GE(log.durable_lsn(), t->last_lsn());
+  EXPECT_GT(log.durable_lsn(), commit_lsn);
 }
 
 TEST(TxnDurabilityTest, ConcurrentTransactions) {
