@@ -31,7 +31,6 @@ void Run() {
     DriverOptions options;
     options.num_threads = 2;  // "2 clients" as in the paper
     options.duration = std::chrono::milliseconds(3000);
-    ThroughputProbe probe;
     Engine* eng = engine.get();
     std::vector<TimedEvent> events;
     events.push_back({std::chrono::milliseconds(1000), [&micro] {
@@ -46,11 +45,10 @@ void Run() {
     }
     DriverResult r = RunWorkloadTimed(
         eng, [&](Rng& rng) { return micro.NextTransaction(rng); }, options,
-        std::chrono::milliseconds(100), &probe, std::move(events));
-    (void)r;
+        std::chrono::milliseconds(100), std::move(events));
 
     std::printf("%-12s", SystemDesignName(design));
-    for (const auto& s : probe.samples()) {
+    for (const auto& s : r.samples) {
       std::printf(" %6.1f", s.ktps);
     }
     std::printf("\n");

@@ -52,10 +52,9 @@ int main() {
   DriverOptions options;
   options.num_threads = 2;
   options.duration = std::chrono::milliseconds(2500);
-  ThroughputProbe probe;
   DriverResult r = RunWorkloadTimed(
       &engine, [&](Rng& rng) { return workload.NextTransaction(rng); },
-      options, std::chrono::milliseconds(250), &probe,
+      options, std::chrono::milliseconds(250),
       {{std::chrono::milliseconds(800), [&] {
           std::printf("  >> skew flips: 50%% of probes now hit the first "
                       "10%% of keys\n");
@@ -64,7 +63,7 @@ int main() {
   rebalancer.Stop();
 
   std::printf("\nthroughput series (Ktps per 250ms window):\n ");
-  for (const auto& s : probe.samples()) std::printf(" %6.1f", s.ktps);
+  for (const auto& s : r.samples) std::printf(" %6.1f", s.ktps);
   std::printf("\ncommitted: %llu, rebalances performed: %llu\n",
               static_cast<unsigned long long>(r.committed),
               static_cast<unsigned long long>(rebalancer.rebalances()));

@@ -10,6 +10,7 @@
 #include "src/metrics/flight_recorder.h"
 #include "src/io/codec.h"
 #include "src/storage/slotted_page.h"
+#include "src/sync/cs_profiler.h"
 
 namespace plp {
 
@@ -136,13 +137,14 @@ Database::Database(DatabaseConfig config)
       txns_(&log_, &locks_, config_.txn, &metrics_) {
   // Post-mortem observability: fatal signals dump the flight-recorder
   // black box before the process dies, and every stats snapshot carries
-  // the recorder's drop counter plus the per-site contention ranking.
+  // the recorder's drop counter plus the per-site contention ranking (a
+  // view over the CsProfiler's collected per-thread counts).
   FlightRecorder::InstallCrashHandlers();
   metrics_.RegisterGaugeProvider(this, [](const GaugeSink& sink) {
-    FlightRecorder& fr = FlightRecorder::Global();
-    sink("trace.dropped_events",
-         static_cast<std::int64_t>(fr.dropped_events()));
-    for (const ContentionEntry& e : fr.ContentionSnapshot()) {
+    sink("trace.dropped_events", static_cast<std::int64_t>(
+                                     FlightRecorder::Global().dropped_events()));
+    for (const ContentionEntry& e :
+         ContentionSnapshot(CsProfiler::Global().Collect())) {
       const std::string base =
           std::string("contention.") + TraceSiteName(e.site);
       sink(base + ".waits", static_cast<std::int64_t>(e.count));

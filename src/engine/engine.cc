@@ -12,15 +12,15 @@ Engine::Engine(EngineConfig config)
       db_(config.db),
       trace_sinks_(db_.metrics()) {
   MetricsRegistry* m = db_.metrics();
-  gate_.BindMetrics(m->counter("admission.blocked"),
+  rejected_metric_ = m->counter("admission.rejected");
+  gate_.BindMetrics(m->counter("admission.admitted"), rejected_metric_,
+                    m->counter("admission.blocked"),
                     m->histogram("admission.wait_us"));
   m->RegisterGaugeProvider(this, [this](const GaugeSink& sink) {
     sink("admission.inflight", static_cast<std::int64_t>(gate_.inflight()));
     sink("admission.peak_inflight",
          static_cast<std::int64_t>(gate_.peak()));
     sink("admission.limit", static_cast<std::int64_t>(gate_.limit()));
-    sink("admission.admitted", static_cast<std::int64_t>(gate_.admitted()));
-    sink("admission.rejected", static_cast<std::int64_t>(gate_.rejected()));
   });
   if (config_.dedicated_callback_thread) {
     callback_executor_ = std::make_unique<CallbackExecutor>();

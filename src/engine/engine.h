@@ -146,8 +146,7 @@ class Engine {
   StatsSnapshot GetStats() { return db_.metrics()->Snapshot(); }
 
   /// The engine's metrics registry, for callers that bind their own
-  /// instruments (the workload driver's throughput probe) or Reset()
-  /// between measurement windows.
+  /// instruments or Reset() between measurement windows.
   MetricsRegistry* metrics() { return db_.metrics(); }
 
   /// Writes the flight recorder's Chrome-trace (Perfetto-loadable) JSON
@@ -163,7 +162,10 @@ class Engine {
   std::size_t inflight() const { return gate_.inflight(); }
   std::size_t peak_inflight() const { return gate_.peak(); }
   void ResetPeakInflight() { gate_.ResetPeak(); }
-  std::uint64_t submissions_rejected() const { return gate_.rejected(); }
+  /// The admission.rejected counter (zeroed by MetricsRegistry::Reset).
+  std::uint64_t submissions_rejected() const {
+    return rejected_metric_->value();
+  }
 
  protected:
   /// Design-specific asynchronous execution: run `req` to commit or abort
@@ -191,6 +193,7 @@ class Engine {
  private:
   void StatsReporterLoop();
 
+  Counter* rejected_metric_ = nullptr;  // admission.rejected
   Mutex stats_mu_;
   std::condition_variable stats_cv_;
   bool stats_stop_ PLP_GUARDED_BY(stats_mu_) = false;

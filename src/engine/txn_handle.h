@@ -104,18 +104,16 @@ class AdmissionGate {
       // Metrics only on the contended path: the uncontended Acquire never
       // reads the clock.
       const std::uint64_t t0 = NowNanos();
-      if (blocked_metric_ != nullptr) blocked_metric_->Increment();
+      blocked_metric_->Increment();
       while (inflight_ >= limit_ && !draining_) lk.Wait(cv_);
-      if (wait_metric_ != nullptr) {
-        wait_metric_->Record((NowNanos() - t0) / 1000);
-      }
+      wait_metric_->Record((NowNanos() - t0) / 1000);
     }
     if (inflight_ >= limit_ || draining_) {
-      ++rejected_;
+      rejected_metric_->Increment();
       return false;
     }
     ++inflight_;
-    ++admitted_;
+    admitted_metric_->Increment();
     if (inflight_ > peak_) peak_ = inflight_;
     return true;
   }
@@ -164,19 +162,14 @@ class AdmissionGate {
     MutexLock g(mu_);
     peak_ = inflight_;
   }
-  std::uint64_t admitted() const {
-    MutexLock g(mu_);
-    return admitted_;
-  }
-  std::uint64_t rejected() const {
-    MutexLock g(mu_);
-    return rejected_;
-  }
 
-  /// Wires the contended-acquire metrics (admission.blocked counter and
-  /// admission.wait_us histogram). Called once from the Engine constructor
-  /// body, before any submission can reach the gate.
-  void BindMetrics(Counter* blocked, Histogram* wait_us) {
+  /// Wires the admission metrics (admission.admitted / rejected / blocked
+  /// counters and the admission.wait_us histogram). Called once from the
+  /// Engine constructor body, before any submission can reach the gate.
+  void BindMetrics(Counter* admitted, Counter* rejected, Counter* blocked,
+                   Histogram* wait_us) {
+    admitted_metric_ = admitted;
+    rejected_metric_ = rejected;
     blocked_metric_ = blocked;
     wait_metric_ = wait_us;
   }
@@ -188,9 +181,9 @@ class AdmissionGate {
   bool draining_ PLP_GUARDED_BY(mu_) = false;
   std::size_t inflight_ PLP_GUARDED_BY(mu_) = 0;
   std::size_t peak_ PLP_GUARDED_BY(mu_) = 0;
-  std::uint64_t admitted_ PLP_GUARDED_BY(mu_) = 0;
-  std::uint64_t rejected_ PLP_GUARDED_BY(mu_) = 0;
   // Bound once before any submission can reach the gate (engine ctor).
+  Counter* admitted_metric_ = nullptr;
+  Counter* rejected_metric_ = nullptr;
   Counter* blocked_metric_ = nullptr;
   Histogram* wait_metric_ = nullptr;
 };

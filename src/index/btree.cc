@@ -3,9 +3,8 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/metrics/flight_recorder.h"
-
 #include "src/index/persistent/index_log.h"
+#include "src/sync/cs_profiler.h"
 
 namespace plp {
 

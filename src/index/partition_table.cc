@@ -1,12 +1,11 @@
 #include "src/index/partition_table.h"
 
-#include "src/metrics/flight_recorder.h"
-
 #include <cassert>
 #include <cstring>
 
 #include "src/common/key_encoding.h"
 #include "src/storage/slotted_page.h"
+#include "src/sync/cs_profiler.h"
 
 namespace plp {
 

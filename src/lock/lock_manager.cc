@@ -22,6 +22,18 @@ LockManager::Bucket& LockManager::BucketFor(const std::string& name) {
   return buckets_[std::hash<std::string>{}(name) % kNumBuckets];
 }
 
+void LockManager::LockBucket(Bucket& bucket) {
+  // Timed manually so the wait is charged to the lock manager, not a
+  // generic mutex. The site scope is entered only on the contended path.
+  std::uint64_t wait_ns = 0;
+  if (bucket.mu.LockTimed(&wait_ns)) {
+    TraceSiteScope site(TraceSite::kLockTable);
+    CsProfiler::Record(CsCategory::kLockMgr, /*contended=*/true, wait_ns);
+  } else {
+    CsProfiler::Record(CsCategory::kLockMgr, /*contended=*/false);
+  }
+}
+
 bool LockManager::CanGrant(const LockEntry& entry, TxnId txn, LockMode mode) {
   for (const auto& [holder, held] : entry.holders) {
     if (holder == txn) continue;
@@ -34,16 +46,7 @@ Status LockManager::Acquire(TxnId txn, const std::string& name, LockMode mode,
                             std::chrono::milliseconds timeout) {
   Bucket& bucket = BucketFor(name);
 
-  // Enter the lock-table critical section (timed manually so the wait is
-  // charged to the lock-manager bucket, not a generic mutex).
-  std::uint64_t wait_ns = 0;
-  const bool contended = bucket.mu.LockTimed(&wait_ns);
-  CsProfiler::Record(CsCategory::kLockMgr, contended, wait_ns);
-  if (contended) {
-    TraceSiteScope site(TraceSite::kLockTable);
-    FlightRecorder::RecordCsWait(CsCategory::kLockMgr, NowNanos() - wait_ns,
-                                 wait_ns);
-  }
+  LockBucket(bucket);
   MutexLock lk(bucket.mu, std::adopt_lock);
 
   acquisitions_.fetch_add(1, std::memory_order_relaxed);
@@ -96,14 +99,7 @@ Status LockManager::Acquire(TxnId txn, const std::string& name, LockMode mode,
 
 void LockManager::Release(TxnId txn, const std::string& name) {
   Bucket& bucket = BucketFor(name);
-  std::uint64_t wait_ns = 0;
-  const bool contended = bucket.mu.LockTimed(&wait_ns);
-  CsProfiler::Record(CsCategory::kLockMgr, contended, wait_ns);
-  if (contended) {
-    TraceSiteScope site(TraceSite::kLockTable);
-    FlightRecorder::RecordCsWait(CsCategory::kLockMgr, NowNanos() - wait_ns,
-                                 wait_ns);
-  }
+  LockBucket(bucket);
   {
     MutexLock lk(bucket.mu, std::adopt_lock);
     auto it = bucket.locks.find(name);

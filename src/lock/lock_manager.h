@@ -67,6 +67,10 @@ class LockManager {
 
   Bucket& BucketFor(const std::string& name);
 
+  /// Enters the bucket's critical section, charged to the lock manager
+  /// (a contended entry also to the kLockTable site).
+  static void LockBucket(Bucket& bucket) PLP_ACQUIRE(bucket.mu);
+
   /// Grant check under the bucket mutex.
   static bool CanGrant(const LockEntry& entry, TxnId txn, LockMode mode);
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -14,11 +13,6 @@
 #include "src/common/clock.h"
 
 namespace plp {
-
-namespace internal {
-thread_local std::uint16_t t_trace_site =
-    static_cast<std::uint16_t>(TraceSite::kUnknown);
-}  // namespace internal
 
 namespace {
 
@@ -45,13 +39,6 @@ constexpr TypeDesc kTypeDesc[kNumTraceEventTypes] = {
     {"checkpoint", "engine", 'X'},
     {"recovery", "engine", 'X'},
     {"marker", "test", 'i'},
-};
-
-constexpr const char* kSiteNames[kNumTraceSites] = {
-    "unknown",         "btree_descent",  "btree_smo",
-    "buffer_pool_evict", "page_cleaner", "heap_op",
-    "partition_table", "lock_table",     "checkpointer",
-    "recovery_replay",
 };
 
 // Stage-span names for kTxnStage events; indices match the TxnStageId
@@ -107,11 +94,6 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
 const char* TraceEventTypeName(TraceEventType t) {
   const auto i = static_cast<std::size_t>(t);
   return i < kNumTraceEventTypes ? kTypeDesc[i].name : "invalid";
-}
-
-const char* TraceSiteName(TraceSite s) {
-  const auto i = static_cast<std::size_t>(s);
-  return i < kNumTraceSites ? kSiteNames[i] : "invalid";
 }
 
 FlightRecorder::FlightRecorder() {
@@ -208,44 +190,6 @@ void FlightRecorder::Emit(TraceEventType type, std::uint64_t ts_ns,
   r->head.store(h + 1, std::memory_order_release);
   if (h >= kRingSlots) {
     fr.dropped_total_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void FlightRecorder::RecordSiteWait(std::uint16_t site,
-                                    std::uint64_t wait_ns) {
-  SiteStats& ss = site_stats_[site < kNumTraceSites ? site : 0];
-  ss.count.fetch_add(1, std::memory_order_relaxed);
-  ss.total_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-  const std::uint64_t wait_us = wait_ns / 1000;
-  const auto bucket = static_cast<std::size_t>(
-      std::min<std::uint64_t>(std::bit_width(wait_us), 39));
-  ss.wait_us_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t prev = ss.max_wait_ns.load(std::memory_order_relaxed);
-  while (prev < wait_ns && !ss.max_wait_ns.compare_exchange_weak(
-                               prev, wait_ns, std::memory_order_relaxed)) {
-  }
-}
-
-void FlightRecorder::RecordLatchWait(PageClass page_class,
-                                     std::uint64_t start_ns,
-                                     std::uint64_t wait_ns) {
-  FlightRecorder& fr = Global();
-  if (!fr.enabled_.load(std::memory_order_relaxed)) return;
-  fr.RecordSiteWait(internal::t_trace_site, wait_ns);
-  if (wait_ns >= fr.wait_threshold_ns_.load(std::memory_order_relaxed)) {
-    Emit(TraceEventType::kLatchWait, start_ns, wait_ns, wait_ns,
-         static_cast<std::uint64_t>(page_class));
-  }
-}
-
-void FlightRecorder::RecordCsWait(CsCategory category, std::uint64_t start_ns,
-                                  std::uint64_t wait_ns) {
-  FlightRecorder& fr = Global();
-  if (!fr.enabled_.load(std::memory_order_relaxed)) return;
-  fr.RecordSiteWait(internal::t_trace_site, wait_ns);
-  if (wait_ns >= fr.wait_threshold_ns_.load(std::memory_order_relaxed)) {
-    Emit(TraceEventType::kCsWait, start_ns, wait_ns, wait_ns,
-         static_cast<std::uint64_t>(category));
   }
 }
 
@@ -431,68 +375,6 @@ Status FlightRecorder::ExportChromeTrace(const std::string& path) const {
   return Status::OK();
 }
 
-// --- contention report ------------------------------------------------------
-
-std::vector<ContentionEntry> FlightRecorder::ContentionSnapshot() const {
-  std::vector<ContentionEntry> out;
-  for (std::size_t i = 0; i < kNumTraceSites; ++i) {
-    const SiteStats& ss = site_stats_[i];
-    ContentionEntry e;
-    e.site = static_cast<TraceSite>(i);
-    e.count = ss.count.load(std::memory_order_relaxed);
-    if (e.count == 0) continue;
-    e.total_wait_ns = ss.total_wait_ns.load(std::memory_order_relaxed);
-    e.max_us = ss.max_wait_ns.load(std::memory_order_relaxed) / 1000;
-    // Percentiles by rank over the log2 microsecond buckets, reported as
-    // bucket ceilings clamped to the observed max (registry convention).
-    std::uint64_t buckets[40];
-    std::uint64_t total = 0;
-    for (std::size_t b = 0; b < 40; ++b) {
-      buckets[b] = ss.wait_us_buckets[b].load(std::memory_order_relaxed);
-      total += buckets[b];
-    }
-    auto percentile = [&](double p) -> std::uint64_t {
-      const auto rank = static_cast<std::uint64_t>(
-          p * static_cast<double>(total) + 0.5);
-      std::uint64_t seen = 0;
-      for (std::size_t b = 0; b < 40; ++b) {
-        seen += buckets[b];
-        if (seen >= rank && buckets[b] != 0) {
-          const std::uint64_t ceiling =
-              b >= 1 ? ((1ull << b) - 1) : 0;
-          return std::min(ceiling, e.max_us);
-        }
-      }
-      return e.max_us;
-    };
-    e.p50_us = percentile(0.50);
-    e.p99_us = percentile(0.99);
-    out.push_back(e);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ContentionEntry& a, const ContentionEntry& b) {
-              return a.total_wait_ns > b.total_wait_ns;
-            });
-  return out;
-}
-
-std::string FlightRecorder::ContentionReportText() const {
-  const std::vector<ContentionEntry> entries = ContentionSnapshot();
-  if (entries.empty()) return "";
-  std::string text = "-- contended latch/mutex sites (cumulative) --\n";
-  char line[160];
-  for (const ContentionEntry& e : entries) {
-    std::snprintf(line, sizeof(line),
-                  "  %-18s waits=%-8" PRIu64 " total=%" PRIu64
-                  "us p50=%" PRIu64 "us p99=%" PRIu64 "us max=%" PRIu64
-                  "us\n",
-                  TraceSiteName(e.site), e.count, e.total_wait_ns / 1000,
-                  e.p50_us, e.p99_us, e.max_us);
-    text += line;
-  }
-  return text;
-}
-
 // --- black box --------------------------------------------------------------
 
 void FlightRecorder::DumpBlackBox(int fd, std::size_t per_thread) const {
@@ -535,7 +417,7 @@ void FlightRecorder::DumpBlackBox(int fd, std::size_t per_thread) const {
       const std::uint64_t site = (meta >> 16) & 0xffff;
       if (site != 0 && site < kNumTraceSites) {
         FdWriteStr(fd, " site=");
-        FdWriteStr(fd, kSiteNames[site]);
+        FdWriteStr(fd, TraceSiteName(static_cast<TraceSite>(site)));
       }
       FdWriteStr(fd, " a0=");
       FdWriteU64(fd, a0);
@@ -575,12 +457,6 @@ void FlightRecorder::ResetForTest() {
        r != nullptr; r = r->next) {
     for (Slot& s : r->slots) s.seq.store(0, std::memory_order_relaxed);
     r->head.store(0, std::memory_order_relaxed);
-  }
-  for (SiteStats& ss : site_stats_) {
-    ss.count.store(0, std::memory_order_relaxed);
-    ss.total_wait_ns.store(0, std::memory_order_relaxed);
-    ss.max_wait_ns.store(0, std::memory_order_relaxed);
-    for (auto& b : ss.wait_us_buckets) b.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -9,15 +9,16 @@
 // number and simply skip slots a writer is overwriting — tracing never
 // blocks the traced.
 //
-// Three consumers:
+// Two consumers:
 //   1. ExportChromeTrace(): chrome://tracing / Perfetto JSON of everything
 //      still in the rings (Engine::DumpTrace, PLP_TRACE_PATH).
 //   2. DumpBlackBox(fd): async-signal-safe dump of the last N events per
 //      thread; installed on fatal signals and fired by debug invariant
 //      traps (buffer-pool pin-leak teardown).
-//   3. ContentionSnapshot(): cumulative per-site latch-wait attribution
-//      (count / total wait / p50 / p99 / max) — the paper's fig1/fig2
-//      breakdown, continuously measured and ranked.
+//
+// Per-site contention statistics are not kept here: CsProfiler's per-thread
+// block owns them (ContentionSnapshot in src/sync/cs_profiler.h), and its
+// contended paths emit the kLatchWait/kCsWait ring events.
 //
 // This header is deliberately include-light (no registry.h / latch.h) so
 // the sync layer can call into it without an include cycle.
@@ -57,48 +58,6 @@ inline constexpr std::size_t kNumTraceEventTypes = 12;
 
 const char* TraceEventTypeName(TraceEventType t);
 
-/// Callsite attribution for latch/mutex waits. The inventory mirrors the
-/// R3 lint allowlist (tools/lint_invariants.py): the files allowed to touch
-/// raw latches — crabbing descents, SMOs, eviction — are exactly the sites
-/// worth telling apart in a contention report. Scopes are cheap (one plain
-/// thread_local store each way) and nest.
-enum class TraceSite : std::uint16_t {
-  kUnknown = 0,
-  kBtreeDescent = 1,     // src/index/btree.cc lock-crabbing descent
-  kBtreeSmo = 2,         // src/index/btree.cc split/merge/repartition SMO
-  kBufferPoolEvict = 3,  // src/buffer/buffer_pool.cc frame steal + unswizzle
-  kPageCleaner = 4,      // background write-back (FlushPage from the cleaner)
-  kHeapOp = 5,           // src/storage/heap_file.cc record read/write latches
-  kPartitionTable = 6,   // src/index/partition_table.cc routing-table pages
-  kLockTable = 7,        // src/lock lock-manager buckets
-  kCheckpointer = 8,     // Database::Checkpoint page sweep
-  kRecoveryReplay = 9,   // restart redo/undo page fixes
-};
-inline constexpr std::size_t kNumTraceSites = 10;
-
-const char* TraceSiteName(TraceSite s);
-
-namespace internal {
-// Current attribution site for this thread; plain thread_local (never read
-// cross-thread), loaded only on already-blocking contended paths.
-extern thread_local std::uint16_t t_trace_site;
-}  // namespace internal
-
-/// RAII scope tagging contended waits on this thread with a callsite.
-class TraceSiteScope {
- public:
-  explicit TraceSiteScope(TraceSite site)
-      : prev_(internal::t_trace_site) {
-    internal::t_trace_site = static_cast<std::uint16_t>(site);
-  }
-  ~TraceSiteScope() { internal::t_trace_site = prev_; }
-  TraceSiteScope(const TraceSiteScope&) = delete;
-  TraceSiteScope& operator=(const TraceSiteScope&) = delete;
-
- private:
-  std::uint16_t prev_;
-};
-
 /// One decoded, seqlock-validated ring event (Collect() output).
 struct CollectedEvent {
   std::uint64_t ts_ns = 0;   // event start, NowNanos() clock
@@ -108,16 +67,6 @@ struct CollectedEvent {
   TraceEventType type = TraceEventType::kNone;
   TraceSite site = TraceSite::kUnknown;
   std::uint32_t tid = 0;     // small recorder-assigned thread id
-};
-
-/// Cumulative contended-wait stats for one TraceSite (ContentionSnapshot()).
-struct ContentionEntry {
-  TraceSite site = TraceSite::kUnknown;
-  std::uint64_t count = 0;
-  std::uint64_t total_wait_ns = 0;
-  std::uint64_t p50_us = 0;
-  std::uint64_t p99_us = 0;
-  std::uint64_t max_us = 0;
 };
 
 /// Process-wide recorder. Threads write through a thread-local ring handle;
@@ -141,24 +90,14 @@ class FlightRecorder {
                    std::uint64_t dur_ns, std::uint64_t arg0,
                    std::uint64_t arg1);
 
-  /// Contended page-latch acquire: feeds the per-site contention stats
-  /// unconditionally and the ring when `wait_ns` clears the threshold.
-  /// Called from Latch::Acquire* with the wait already measured.
-  static void RecordLatchWait(PageClass page_class, std::uint64_t start_ns,
-                              std::uint64_t wait_ns);
-
-  /// Contended TrackedMutex acquire (same contract, CsCategory flavor).
-  static void RecordCsWait(CsCategory category, std::uint64_t start_ns,
-                           std::uint64_t wait_ns);
-
-  /// Master switch (PLP_TRACE=0 disables at startup; tests toggle it).
+  /// Ring switch (PLP_TRACE=0 disables at startup; tests toggle it).
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Minimum contended wait that earns a ring event (site stats always
-  /// accumulate). Default 1us, PLP_TRACE_WAIT_NS at startup.
+  /// Minimum contended wait that earns a ring event (CsProfiler's site
+  /// stats count every wait). Default 1us, PLP_TRACE_WAIT_NS at startup.
   void SetWaitThresholdNs(std::uint64_t ns) {
     wait_threshold_ns_.store(ns, std::memory_order_relaxed);
   }
@@ -181,13 +120,6 @@ class FlightRecorder {
   std::string ExportChromeTraceJson() const;
   Status ExportChromeTrace(const std::string& path) const;
 
-  /// Per-site contended-wait ranking, sorted by total wait descending.
-  /// Sites with zero waits are omitted.
-  std::vector<ContentionEntry> ContentionSnapshot() const;
-
-  /// Human-readable contention ranking (the stats.ToText() section).
-  std::string ContentionReportText() const;
-
   /// Async-signal-safe: writes the last `per_thread` events of every ring
   /// to `fd` with write(2) only (no malloc, no locks, no stdio). Used by
   /// the fatal-signal handler and the debug pin-leak trap.
@@ -198,7 +130,7 @@ class FlightRecorder {
   /// test harness (non-default disposition) are left alone.
   static void InstallCrashHandlers();
 
-  /// Test-only: clears ring heads, drop counters and site stats. Racy
+  /// Test-only: clears ring heads and the drop counter. Racy
   /// against concurrent writers by design (same contract as
   /// MetricsRegistry::Reset) — call it quiesced.
   void ResetForTest();
@@ -228,20 +160,10 @@ class FlightRecorder {
     ThreadRing* next = nullptr;  // push-only list, set before publish
   };
 
-  struct SiteStats {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> total_wait_ns{0};
-    std::atomic<std::uint64_t> max_wait_ns{0};
-    /// log2 buckets of wait microseconds (same shape as registry
-    /// histograms; 40 buckets cover ~13 days).
-    std::atomic<std::uint64_t> wait_us_buckets[40];
-  };
-
   FlightRecorder();
 
   static ThreadRing* LocalRing();
   ThreadRing* AcquireRing();
-  void RecordSiteWait(std::uint16_t site, std::uint64_t wait_ns);
   void CollectRing(const ThreadRing& ring, std::size_t max_events,
                    std::vector<CollectedEvent>* out) const;
 
@@ -254,8 +176,6 @@ class FlightRecorder {
   std::atomic<ThreadRing*> all_rings_{nullptr};
   Spinlock reg_lock_;
   std::uint32_t next_tid_ PLP_GUARDED_BY(reg_lock_) = 1;
-
-  SiteStats site_stats_[kNumTraceSites];
 };
 
 }  // namespace plp

@@ -162,9 +162,8 @@ std::string StatsSnapshot::ToText() const {
     out += line;
   }
   // Ranked contention section, reassembled from the contention.<site>.*
-  // gauges the flight recorder publishes via the Database gauge provider
-  // (the registry cannot call the recorder directly: the recorder's
-  // header is below latch.h, which this header sits on).
+  // gauges the Database gauge provider publishes from the CsProfiler's
+  // per-site counts (a snapshot only carries names and values).
   struct SiteRow {
     std::string site;
     std::int64_t waits = 0;

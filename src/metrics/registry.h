@@ -169,8 +169,8 @@ struct StatsSnapshot {
 
   /// Human-readable table, one metric per line, with a ranked
   /// "contended latch sites" section when contention.* gauges (published
-  /// by the flight recorder through the Database gauge provider) are
-  /// present.
+  /// by the Database gauge provider from CsProfiler's per-site counts)
+  /// are present.
   std::string ToText() const;
   /// Single JSON object: counters/gauges as numbers, histograms as
   /// {"count","sum","max","p50","p95","p99"} objects. Keys are sorted.

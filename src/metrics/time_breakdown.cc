@@ -79,18 +79,4 @@ std::string FormatBreakdownRow(const std::string& label,
   return buf;
 }
 
-void PublishBreakdown(MetricsRegistry* registry, const std::string& prefix,
-                      const TimeBreakdown& b) {
-  auto set = [&](const char* field, double us) {
-    registry->gauge(prefix + field)->Set(static_cast<std::int64_t>(us));
-  };
-  set(".total_us", b.total_us);
-  set(".idx_latch_wait_us", b.idx_latch_wait_us);
-  set(".heap_latch_wait_us", b.heap_latch_wait_us);
-  set(".latching_us", b.latching_us);
-  set(".lock_wait_us", b.lock_wait_us);
-  set(".smo_wait_us", b.smo_wait_us);
-  set(".other_us", b.other_us);
-}
-
 }  // namespace plp

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/metrics/registry.h"
 #include "src/sync/cs_profiler.h"
 
 namespace plp {
@@ -38,13 +37,6 @@ TimeBreakdown MakeTimeBreakdown(const CsCounts& delta, std::uint64_t num_xcts,
 ///   "Conv.  16thr | total 123.4us | idx 10.2 | heap 0.0 | latch 3.1 | ..."
 std::string FormatBreakdownRow(const std::string& label,
                                const TimeBreakdown& b);
-
-/// Publishes a breakdown into registry gauges (integer microseconds under
-/// `<prefix>.total_us`, `.idx_latch_wait_us`, `.heap_latch_wait_us`,
-/// `.latching_us`, `.lock_wait_us`, `.smo_wait_us`, `.other_us`), so
-/// GetStats() carries the last measured per-transaction breakdown.
-void PublishBreakdown(MetricsRegistry* registry, const std::string& prefix,
-                      const TimeBreakdown& b);
 
 }  // namespace plp
 

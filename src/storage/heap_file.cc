@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/metrics/flight_recorder.h"
+#include "src/sync/cs_profiler.h"
 
 namespace plp {
 

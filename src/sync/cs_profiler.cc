@@ -1,11 +1,23 @@
 #include "src/sync/cs_profiler.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
 #include <mutex>
 #include <vector>
 
+#include "src/common/clock.h"
+#include "src/metrics/flight_recorder.h"
+
 namespace plp {
+
+namespace internal {
+thread_local std::uint16_t t_trace_site =
+    static_cast<std::uint16_t>(TraceSite::kUnknown);
+}  // namespace internal
 
 const char* CsCategoryName(CsCategory c) {
   switch (c) {
@@ -28,6 +40,20 @@ const char* PageClassName(PageClass c) {
     case PageClass::kCatalog: return "CATALOG/SPACE";
   }
   return "?";
+}
+
+namespace {
+constexpr const char* kSiteNames[kNumTraceSites] = {
+    "unknown",         "btree_descent",  "btree_smo",
+    "buffer_pool_evict", "page_cleaner", "heap_op",
+    "partition_table", "lock_table",     "checkpointer",
+    "recovery_replay",
+};
+}  // namespace
+
+const char* TraceSiteName(TraceSite s) {
+  const auto i = static_cast<std::size_t>(s);
+  return i < kNumTraceSites ? kSiteNames[i] : "invalid";
 }
 
 std::uint64_t CsCounts::TotalEntries() const {
@@ -59,6 +85,16 @@ CsCounts& CsCounts::operator+=(const CsCounts& other) {
     latches_contended[i] += other.latches_contended[i];
     latch_wait_ns[i] += other.latch_wait_ns[i];
   }
+  for (std::size_t i = 0; i < kNumTraceSites; ++i) {
+    SiteWaits& s = sites[i];
+    const SiteWaits& o = other.sites[i];
+    s.count += o.count;
+    s.wait_ns += o.wait_ns;
+    s.max_wait_ns = std::max(s.max_wait_ns, o.max_wait_ns);
+    for (std::size_t b = 0; b < kSiteWaitBuckets; ++b) {
+      s.wait_us_buckets[b] += o.wait_us_buckets[b];
+    }
+  }
   return *this;
 }
 
@@ -74,11 +110,82 @@ CsCounts CsCounts::operator-(const CsCounts& other) const {
     out.latches_contended[i] = latches_contended[i] - other.latches_contended[i];
     out.latch_wait_ns[i] = latch_wait_ns[i] - other.latch_wait_ns[i];
   }
+  for (std::size_t i = 0; i < kNumTraceSites; ++i) {
+    SiteWaits& d = out.sites[i];
+    const SiteWaits& s = sites[i];
+    const SiteWaits& o = other.sites[i];
+    d.count = s.count - o.count;
+    d.wait_ns = s.wait_ns - o.wait_ns;
+    d.max_wait_ns = s.max_wait_ns;
+    for (std::size_t b = 0; b < kSiteWaitBuckets; ++b) {
+      d.wait_us_buckets[b] = s.wait_us_buckets[b] - o.wait_us_buckets[b];
+    }
+  }
   return out;
+}
+
+std::vector<ContentionEntry> ContentionSnapshot(const CsCounts& counts) {
+  std::vector<ContentionEntry> out;
+  for (std::size_t i = 0; i < kNumTraceSites; ++i) {
+    const SiteWaits& s = counts.sites[i];
+    if (s.count == 0) continue;
+    ContentionEntry e;
+    e.site = static_cast<TraceSite>(i);
+    e.count = s.count;
+    e.total_wait_ns = s.wait_ns;
+    e.max_us = s.max_wait_ns / 1000;
+    std::uint64_t total = 0;
+    for (std::uint64_t b : s.wait_us_buckets) total += b;
+    auto percentile = [&](double p) -> std::uint64_t {
+      const auto rank = static_cast<std::uint64_t>(
+          p * static_cast<double>(total) + 0.5);
+      std::uint64_t seen = 0;
+      for (std::size_t b = 0; b < kSiteWaitBuckets; ++b) {
+        seen += s.wait_us_buckets[b];
+        if (seen >= rank && s.wait_us_buckets[b] != 0) {
+          const std::uint64_t ceiling = b >= 1 ? ((1ull << b) - 1) : 0;
+          return std::min(ceiling, e.max_us);
+        }
+      }
+      return e.max_us;
+    };
+    e.p50_us = percentile(0.50);
+    e.p99_us = percentile(0.99);
+    out.push_back(e);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ContentionEntry& a, const ContentionEntry& b) {
+              return a.total_wait_ns > b.total_wait_ns;
+            });
+  return out;
+}
+
+std::string ContentionReportText(const CsCounts& counts) {
+  const std::vector<ContentionEntry> entries = ContentionSnapshot(counts);
+  if (entries.empty()) return "";
+  std::string text = "-- contended latch/mutex sites --\n";
+  char line[160];
+  for (const ContentionEntry& e : entries) {
+    std::snprintf(line, sizeof(line),
+                  "  %-18s waits=%-8" PRIu64 " total=%" PRIu64
+                  "us p50=%" PRIu64 "us p99=%" PRIu64 "us max=%" PRIu64
+                  "us\n",
+                  TraceSiteName(e.site), e.count, e.total_wait_ns / 1000,
+                  e.p50_us, e.p99_us, e.max_us);
+    text += line;
+  }
+  return text;
 }
 
 namespace {
 std::atomic<bool> g_enabled{true};
+
+struct AtomicSiteWaits {
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::uint64_t> wait_ns{0};
+  std::atomic<std::uint64_t> max_wait_ns{0};
+  std::array<std::atomic<std::uint64_t>, kSiteWaitBuckets> wait_us_buckets{};
+};
 
 /// Thread-local counter block mirroring CsCounts with relaxed atomics.
 struct AtomicCounts {
@@ -88,6 +195,7 @@ struct AtomicCounts {
   std::array<std::atomic<std::uint64_t>, kNumPageClasses> latches{};
   std::array<std::atomic<std::uint64_t>, kNumPageClasses> latches_contended{};
   std::array<std::atomic<std::uint64_t>, kNumPageClasses> latch_wait_ns{};
+  std::array<AtomicSiteWaits, kNumTraceSites> sites{};
 
   CsCounts Snapshot() const {
     CsCounts out;
@@ -101,6 +209,17 @@ struct AtomicCounts {
       out.latches_contended[i] =
           latches_contended[i].load(std::memory_order_relaxed);
       out.latch_wait_ns[i] = latch_wait_ns[i].load(std::memory_order_relaxed);
+    }
+    for (std::size_t i = 0; i < kNumTraceSites; ++i) {
+      const AtomicSiteWaits& a = sites[i];
+      SiteWaits& s = out.sites[i];
+      s.count = a.count.load(std::memory_order_relaxed);
+      s.wait_ns = a.wait_ns.load(std::memory_order_relaxed);
+      s.max_wait_ns = a.max_wait_ns.load(std::memory_order_relaxed);
+      for (std::size_t b = 0; b < kSiteWaitBuckets; ++b) {
+        s.wait_us_buckets[b] =
+            a.wait_us_buckets[b].load(std::memory_order_relaxed);
+      }
     }
     return out;
   }
@@ -116,6 +235,12 @@ struct AtomicCounts {
       latches_contended[i].store(0, std::memory_order_relaxed);
       latch_wait_ns[i].store(0, std::memory_order_relaxed);
     }
+    for (AtomicSiteWaits& a : sites) {
+      a.count.store(0, std::memory_order_relaxed);
+      a.wait_ns.store(0, std::memory_order_relaxed);
+      a.max_wait_ns.store(0, std::memory_order_relaxed);
+      for (auto& b : a.wait_us_buckets) b.store(0, std::memory_order_relaxed);
+    }
   }
 };
 
@@ -123,6 +248,31 @@ inline void Bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
   // A real RMW: Reset() may zero a live thread's counter concurrently,
   // and a load+store pair would resurrect the pre-reset value.
   c.fetch_add(by, std::memory_order_relaxed);
+}
+
+/// Contended path only: charges the wait to the thread's current site.
+void RecordSiteWait(AtomicCounts& c, std::uint64_t wait_ns) {
+  const std::uint16_t site = internal::t_trace_site;
+  AtomicSiteWaits& s = c.sites[site < kNumTraceSites ? site : 0];
+  Bump(s.count);
+  Bump(s.wait_ns, wait_ns);
+  const auto bucket = static_cast<std::size_t>(std::min<std::uint64_t>(
+      std::bit_width(wait_ns / 1000), kSiteWaitBuckets - 1));
+  Bump(s.wait_us_buckets[bucket]);
+  // CAS rather than load+store for the same reason as Bump; only the
+  // owning thread and Reset() ever write it, so the loop rarely retries.
+  std::uint64_t prev = s.max_wait_ns.load(std::memory_order_relaxed);
+  while (prev < wait_ns && !s.max_wait_ns.compare_exchange_weak(
+                               prev, wait_ns, std::memory_order_relaxed)) {
+  }
+}
+
+/// Contended path only: a ring event for waits above the threshold, with
+/// the start derived as now - wait.
+void TraceWait(TraceEventType type, std::uint64_t wait_ns,
+               std::uint64_t what) {
+  if (wait_ns < FlightRecorder::Global().wait_threshold_ns()) return;
+  FlightRecorder::Emit(type, NowNanos() - wait_ns, wait_ns, wait_ns, what);
 }
 
 struct Registry {
@@ -180,6 +330,9 @@ void CsProfiler::Record(CsCategory category, bool contended,
   if (contended) {
     Bump(c.contended[static_cast<int>(category)]);
     Bump(c.wait_ns[static_cast<int>(category)], wait_ns);
+    RecordSiteWait(c, wait_ns);
+    TraceWait(TraceEventType::kCsWait, wait_ns,
+              static_cast<std::uint64_t>(category));
   }
 }
 
@@ -194,6 +347,9 @@ void CsProfiler::RecordLatch(PageClass page_class, bool contended,
     Bump(c.wait_ns[static_cast<int>(CsCategory::kPageLatch)], wait_ns);
     Bump(c.latches_contended[static_cast<int>(page_class)]);
     Bump(c.latch_wait_ns[static_cast<int>(page_class)], wait_ns);
+    RecordSiteWait(c, wait_ns);
+    TraceWait(TraceEventType::kLatchWait, wait_ns,
+              static_cast<std::uint64_t>(page_class));
   }
 }
 

@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "src/common/clock.h"
-#include "src/metrics/flight_recorder.h"
 #include "src/sync/cs_profiler.h"
 #include "src/sync/thread_annotations.h"
 
@@ -60,9 +59,7 @@ class PLP_CAPABILITY("latch") Latch {
     }
     const std::uint64_t t0 = NowNanos();
     mu_.lock_shared();
-    const std::uint64_t wait_ns = NowNanos() - t0;
-    CsProfiler::RecordLatch(page_class_, /*contended=*/true, wait_ns);
-    FlightRecorder::RecordLatchWait(page_class_, t0, wait_ns);
+    CsProfiler::RecordLatch(page_class_, /*contended=*/true, NowNanos() - t0);
   }
   void ReleaseShared() PLP_RELEASE_SHARED() { mu_.unlock_shared(); }
 
@@ -73,9 +70,7 @@ class PLP_CAPABILITY("latch") Latch {
     }
     const std::uint64_t t0 = NowNanos();
     mu_.lock();
-    const std::uint64_t wait_ns = NowNanos() - t0;
-    CsProfiler::RecordLatch(page_class_, /*contended=*/true, wait_ns);
-    FlightRecorder::RecordLatchWait(page_class_, t0, wait_ns);
+    CsProfiler::RecordLatch(page_class_, /*contended=*/true, NowNanos() - t0);
   }
   void ReleaseExclusive() PLP_RELEASE() { mu_.unlock(); }
 
@@ -169,9 +164,7 @@ class PLP_CAPABILITY("mutex") TrackedMutex {
     }
     const std::uint64_t t0 = NowNanos();
     mu_.lock();
-    const std::uint64_t wait_ns = NowNanos() - t0;
-    CsProfiler::Record(category_, /*contended=*/true, wait_ns);
-    FlightRecorder::RecordCsWait(category_, t0, wait_ns);
+    CsProfiler::Record(category_, /*contended=*/true, NowNanos() - t0);
   }
   void unlock() PLP_RELEASE() { mu_.unlock(); }
   bool try_lock() PLP_TRY_ACQUIRE(true) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/metrics/time_breakdown.h"
 
 namespace plp {
 
@@ -18,7 +17,6 @@ namespace {
 DriverResult RunInternal(Engine* engine, const TxnFactory& next,
                          const DriverOptions& options,
                          std::chrono::milliseconds sample_interval,
-                         ThroughputProbe* probe,
                          std::vector<TimedEvent> events) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> committed{0};
@@ -32,15 +30,25 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   int trace_every = options.trace_every;
   if (trace_every == 0 && trace_path != nullptr) trace_every = 64;
 
+  DriverResult result;
   const CsCounts before = CsProfiler::Global().Collect();
   engine->ResetPeakInflight();
   const std::uint64_t t0 = NowNanos();
-  if (probe != nullptr) {
-    // Probe samples surface in GetStats() alongside the engine's own
-    // counters (satellite of the observability layer).
-    probe->BindRegistry(engine->metrics());
-    probe->Start();
-  }
+  std::uint64_t last_sample_ns = t0;
+  std::uint64_t last_committed = 0;
+  auto sample = [&] {
+    const std::uint64_t now = NowNanos();
+    const std::uint64_t total = committed.load(std::memory_order_relaxed);
+    DriverResult::Sample s;
+    s.at_seconds = static_cast<double>(now - t0) / 1e9;
+    s.committed = total - last_committed;
+    const double window_s = static_cast<double>(now - last_sample_ns) / 1e9;
+    s.ktps = window_s > 0 ? static_cast<double>(s.committed) / window_s / 1e3
+                          : 0;
+    result.samples.push_back(s);
+    last_sample_ns = now;
+    last_committed = total;
+  };
 
   std::vector<std::thread> clients;
   std::vector<std::vector<std::uint64_t>> latencies(
@@ -63,7 +71,6 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
           if (st.ok()) {
             local_latencies.push_back(NowNanos() - txn_start);
             committed.fetch_add(1, std::memory_order_relaxed);
-            if (probe != nullptr) probe->Tick();
           } else {
             aborted.fetch_add(1, std::memory_order_relaxed);
           }
@@ -96,7 +103,6 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
           if (st.ok()) {
             local_latencies.push_back(NowNanos() - txn_start);
             committed.fetch_add(1, std::memory_order_relaxed);
-            if (probe != nullptr) probe->Tick();
           } else {
             aborted.fetch_add(1, std::memory_order_relaxed);
           }
@@ -116,8 +122,8 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   auto next_sample = std::chrono::steady_clock::now() + sample_interval;
   while (std::chrono::steady_clock::now() < deadline) {
     const auto now = std::chrono::steady_clock::now();
-    if (probe != nullptr && now >= next_sample) {
-      probe->SampleNow();
+    if (now >= next_sample) {
+      sample();
       next_sample += sample_interval;
     }
     while (next_event < events.size() &&
@@ -129,9 +135,8 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : clients) t.join();
-  if (probe != nullptr) probe->SampleNow();
+  sample();
 
-  DriverResult result;
   result.elapsed_ns = NowNanos() - t0;
   result.committed = committed.load();
   result.aborted = aborted.load();
@@ -144,11 +149,6 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
                                local_latencies.end());
   }
   std::sort(result.latencies_ns.begin(), result.latencies_ns.end());
-  // Publish the window's per-transaction time breakdown so GetStats()
-  // snapshots taken after a driver run carry it (breakdown.* gauges).
-  PublishBreakdown(engine->metrics(), "breakdown",
-                   MakeTimeBreakdown(result.cs_delta, result.committed,
-                                     result.thread_time_ns));
   if (trace_path != nullptr) {
     const Status st = engine->DumpTrace(trace_path);
     if (st.ok()) {
@@ -165,15 +165,14 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
 DriverResult RunWorkload(Engine* engine, const TxnFactory& next,
                          const DriverOptions& options) {
   return RunInternal(engine, next, options, std::chrono::milliseconds(100),
-                     nullptr, {});
+                     {});
 }
 
 DriverResult RunWorkloadTimed(Engine* engine, const TxnFactory& next,
                               const DriverOptions& options,
                               std::chrono::milliseconds sample_interval,
-                              ThroughputProbe* probe,
                               std::vector<TimedEvent> events) {
-  return RunInternal(engine, next, options, sample_interval, probe,
+  return RunInternal(engine, next, options, sample_interval,
                      std::move(events));
 }
 

@@ -1,6 +1,6 @@
 // Multi-threaded workload driver: N client threads submit transactions to
-// an engine for a fixed duration, with critical-section deltas and
-// optional throughput time-series captured around the run.
+// an engine for a fixed duration, with critical-section deltas and a
+// throughput time series captured around the run.
 #ifndef PLP_WORKLOAD_WORKLOAD_DRIVER_H_
 #define PLP_WORKLOAD_WORKLOAD_DRIVER_H_
 
@@ -10,7 +10,6 @@
 
 #include "src/common/rng.h"
 #include "src/engine/engine.h"
-#include "src/metrics/throughput_probe.h"
 #include "src/sync/cs_profiler.h"
 
 namespace plp {
@@ -45,6 +44,17 @@ struct DriverResult {
   /// Execute() round trips. Open loop: submit-to-completion latency,
   /// including time queued behind the pipeline window.
   std::vector<std::uint64_t> latencies_ns;
+
+  /// One throughput window, counted from the driver's own commit tally.
+  struct Sample {
+    double at_seconds = 0;        // window end, relative to the run start
+    std::uint64_t committed = 0;  // commits completed in the window
+    double ktps = 0;              // thousands of commits per second
+  };
+  /// Throughput time series, one sample per sample interval (RunWorkload:
+  /// 100 ms). The last sample closes the run after the clients drained,
+  /// so the windows' commits sum to `committed`.
+  std::vector<Sample> samples;
 
   /// Latency percentile in microseconds (q in [0,1]); 0 when no samples.
   double latency_us(double q) const {
@@ -89,9 +99,9 @@ using TxnFactory = std::function<TxnRequest(Rng&)>;
 DriverResult RunWorkload(Engine* engine, const TxnFactory& next,
                          const DriverOptions& options);
 
-/// Same, but also samples throughput every `sample_interval` into `probe`
-/// and invokes `at` callbacks at their scheduled offsets (used by the
-/// repartitioning experiment to flip skew and trigger rebalancing).
+/// Same, but samples throughput every `sample_interval` and invokes `at`
+/// callbacks at their scheduled offsets (used by the repartitioning
+/// experiment to flip skew and trigger rebalancing).
 struct TimedEvent {
   std::chrono::milliseconds at;
   std::function<void()> fn;
@@ -99,7 +109,6 @@ struct TimedEvent {
 DriverResult RunWorkloadTimed(Engine* engine, const TxnFactory& next,
                               const DriverOptions& options,
                               std::chrono::milliseconds sample_interval,
-                              ThroughputProbe* probe,
                               std::vector<TimedEvent> events);
 
 }  // namespace plp

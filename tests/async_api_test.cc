@@ -442,9 +442,10 @@ TEST_P(AsyncApiTest, StatsAdmissionBalancesAfterDrain) {
   for (auto& h : handles) EXPECT_TRUE(h.Wait().ok());
   const StatsSnapshot stats = engine_->GetStats();
   // admitted == completed + in-flight, and the window has drained.
-  EXPECT_EQ(stats.gauge("admission.admitted"), kTxns);
+  EXPECT_EQ(stats.counter("admission.admitted"),
+            static_cast<std::uint64_t>(kTxns));
   EXPECT_EQ(stats.gauge("admission.inflight"), 0);
-  EXPECT_EQ(stats.gauge("admission.rejected"), 0);
+  EXPECT_EQ(stats.counter("admission.rejected"), 0u);
   EXPECT_EQ(stats.counter("txn.begins"),
             stats.counter("txn.commits") + stats.counter("txn.aborts"));
   EXPECT_GE(stats.counter("txn.commits"), static_cast<std::uint64_t>(kTxns));

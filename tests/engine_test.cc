@@ -309,6 +309,7 @@ TEST_P(EngineTest, SecondaryIndexMaintained) {
 }
 
 TEST_P(EngineTest, GetStatsReflectsWork) {
+  ASSERT_TRUE(Insert(9, "earlier").ok());  // admitted before the window
   const StatsSnapshot before = engine_->GetStats();
   ASSERT_TRUE(Insert(10, "v").ok());
   ASSERT_TRUE(Update(10, "v2").ok());
@@ -319,9 +320,13 @@ TEST_P(EngineTest, GetStatsReflectsWork) {
   const StatsSnapshot stats = engine_->GetStats();
   // The four Executes above went through the admission gate; everything
   // drained, so nothing is still in flight.
-  EXPECT_EQ(stats.gauge("admission.admitted") -
-                before.gauge("admission.admitted"),
-            4);
+  EXPECT_EQ(stats.counter("admission.admitted") -
+                before.counter("admission.admitted"),
+            4u);
+  // Admissions are counters, so a DeltaSince window holds only its own.
+  const StatsSnapshot window = stats.DeltaSince(before);
+  EXPECT_EQ(window.counter("admission.admitted"), 4u);
+  EXPECT_EQ(window.counter("admission.rejected"), 0u);
   EXPECT_EQ(stats.gauge("admission.inflight"), 0);
   EXPECT_GE(stats.counter("txn.commits") - before.counter("txn.commits"), 3u);
   EXPECT_GE(stats.counter("txn.aborts") - before.counter("txn.aborts"), 1u);

@@ -170,6 +170,7 @@ TEST(FlightRecorderTest, ExportChromeTraceWritesFile) {
 TEST(FlightRecorderTest, ContentionAttributionRanksSites) {
   FlightRecorder& fr = FlightRecorder::Global();
   fr.ResetForTest();
+  CsProfiler::Global().Reset();
   // A genuinely contended latch acquire under a site scope: the holder
   // sleeps with the exclusive latch, the waiter records the wait.
   Latch latch(PageClass::kIndex);
@@ -183,7 +184,8 @@ TEST(FlightRecorderTest, ContentionAttributionRanksSites) {
   latch.ReleaseExclusive();
   waiter.join();
 
-  const std::vector<ContentionEntry> snapshot = fr.ContentionSnapshot();
+  const CsCounts counts = CsProfiler::Global().Collect();
+  const std::vector<ContentionEntry> snapshot = ContentionSnapshot(counts);
   ASSERT_FALSE(snapshot.empty());
   bool found = false;
   for (const ContentionEntry& e : snapshot) {
@@ -194,8 +196,8 @@ TEST(FlightRecorderTest, ContentionAttributionRanksSites) {
     EXPECT_GE(e.total_wait_ns, 1'000'000u);
     EXPECT_GE(e.max_us, e.p50_us);
   }
-  EXPECT_TRUE(found) << fr.ContentionReportText();
-  const std::string report = fr.ContentionReportText();
+  EXPECT_TRUE(found) << ContentionReportText(counts);
+  const std::string report = ContentionReportText(counts);
   EXPECT_NE(report.find("btree_descent"), std::string::npos);
 
   // The ring also carries the latch-wait span (it cleared the 1us
@@ -214,11 +216,12 @@ TEST(FlightRecorderTest, ContentionAttributionRanksSites) {
 TEST(FlightRecorderTest, WaitThresholdGatesRingButNotStats) {
   FlightRecorder& fr = FlightRecorder::Global();
   fr.ResetForTest();
+  CsProfiler::Global().Reset();
   const std::uint64_t saved = fr.wait_threshold_ns();
   fr.SetWaitThresholdNs(1'000'000'000);  // 1s: nothing clears it
   {
     TraceSiteScope site(TraceSite::kHeapOp);
-    FlightRecorder::RecordLatchWait(PageClass::kHeap, NowNanos(), 50'000);
+    CsProfiler::RecordLatch(PageClass::kHeap, /*contended=*/true, 50'000);
   }
   fr.SetWaitThresholdNs(saved);
   bool ring_event = false;
@@ -227,7 +230,8 @@ TEST(FlightRecorderTest, WaitThresholdGatesRingButNotStats) {
   }
   EXPECT_FALSE(ring_event);
   bool stats_counted = false;
-  for (const ContentionEntry& e : fr.ContentionSnapshot()) {
+  for (const ContentionEntry& e :
+       ContentionSnapshot(CsProfiler::Global().Collect())) {
     if (e.site == TraceSite::kHeapOp && e.count >= 1) stats_counted = true;
   }
   EXPECT_TRUE(stats_counted);

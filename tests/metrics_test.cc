@@ -1,5 +1,5 @@
 // Tests for the metrics layer: the engine-wide registry plus the older
-// time-breakdown and throughput-probe instruments.
+// time-breakdown view over CsProfiler deltas.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/metrics/registry.h"
-#include "src/metrics/throughput_probe.h"
 #include "src/metrics/time_breakdown.h"
 #include "src/metrics/txn_trace.h"
 
@@ -70,84 +69,6 @@ TEST(TimeBreakdownTest, FormatContainsAllColumns) {
                           "latching", "lock-wait", "smo-wait", "other"}) {
     EXPECT_NE(row.find(col), std::string::npos) << col;
   }
-}
-
-TEST(ThroughputProbeTest, SamplesMeasureWindowRate) {
-  ThroughputProbe probe;
-  probe.Start();
-  for (int i = 0; i < 1000; ++i) probe.Tick();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  probe.SampleNow();
-  ASSERT_EQ(probe.samples().size(), 1u);
-  const auto& s = probe.samples()[0];
-  EXPECT_GT(s.at_seconds, 0.0);
-  EXPECT_GT(s.ktps, 0.0);
-  // 1000 ticks in ~50ms -> ~20 Ktps.
-  EXPECT_NEAR(s.ktps, 20.0, 15.0);
-}
-
-TEST(ThroughputProbeTest, SecondWindowCountsOnlyNewTicks) {
-  ThroughputProbe probe;
-  probe.Start();
-  for (int i = 0; i < 100; ++i) probe.Tick();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  probe.SampleNow();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  probe.SampleNow();  // no ticks in the second window
-  ASSERT_EQ(probe.samples().size(), 2u);
-  EXPECT_GT(probe.samples()[0].ktps, 0.0);
-  EXPECT_DOUBLE_EQ(probe.samples()[1].ktps, 0.0);
-  EXPECT_EQ(probe.total(), 100u);
-}
-
-TEST(ThroughputProbeTest, StartResets) {
-  ThroughputProbe probe;
-  probe.Start();
-  probe.Tick();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  probe.SampleNow();
-  probe.Start();
-  EXPECT_TRUE(probe.samples().empty());
-  EXPECT_EQ(probe.total(), 0u);
-}
-
-TEST(ThroughputProbeTest, ConcurrentTickers) {
-  ThroughputProbe probe;
-  probe.Start();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) probe.Tick();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(probe.total(), 40000u);
-}
-
-TEST(ThroughputProbeTest, BoundRegistryPublishesWindowGauges) {
-  MetricsRegistry registry;
-  ThroughputProbe probe;
-  probe.BindRegistry(&registry);
-  probe.Start();
-  for (int i = 0; i < 500; ++i) probe.Tick();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  probe.SampleNow();
-  const StatsSnapshot snap = registry.Snapshot();
-  EXPECT_GT(snap.gauge("probe.window_tps"), 0);
-  EXPECT_EQ(snap.gauge("probe.total_txns"), 500);
-  EXPECT_EQ(snap.gauge("probe.samples"), 1);
-}
-
-TEST(TimeBreakdownTest, PublishBreakdownSetsGauges) {
-  MetricsRegistry registry;
-  TimeBreakdown b;
-  b.total_us = 123.7;
-  b.lock_wait_us = 5.2;
-  PublishBreakdown(&registry, "breakdown", b);
-  const StatsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.gauge("breakdown.total_us"), 123);
-  EXPECT_EQ(snap.gauge("breakdown.lock_wait_us"), 5);
-  EXPECT_EQ(snap.gauge("breakdown.other_us"), 0);
 }
 
 // --- MetricsRegistry ------------------------------------------------------

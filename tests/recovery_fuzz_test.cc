@@ -17,13 +17,22 @@
 //    the committed-only model over the whole key space.
 //  * DurableSmoFuzzTest      — the crash loop on a PLP design, with leaf
 //    splits and repartitions between crash points.
+//  * InFlightCrashTest       — a real process crash (fork + _exit) with a
+//    transaction blocked mid-action whose records are already durable, so
+//    restart must undo a loser.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -633,6 +642,130 @@ TEST_P(DurableSmoFuzzTest, SplitsAndMergesSurviveCrashLoop) {
                 ->height(),
             2);
   engine->Stop();
+}
+
+// Crash with a transaction in flight, the examples/bank_audit.cpp drill
+// made deterministic. A forked child commits a base population, then
+// transaction A (partition 1) updates one key and inserts another and
+// blocks inside its action. The child writes the dirty pages back while A
+// is blocked (a steal, as the page cleaner or an eviction would; the WAL
+// rule forces A's records out first), so A's effects reach the data file.
+// Transaction B (partition 0, another worker) then commits durably, and
+// the child _exits. On reopen A is a forced loser: restart does not redo
+// loser heap ops, so the heap undo pass alone removes A's stolen writes.
+TEST(InFlightCrashTest, BlockedTransactionIsUndoneAtRestart) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("plp_inflight_crash_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  EngineConfig config;
+  config.design = SystemDesign::kPlpRegular;
+  config.num_workers = 2;  // partitions 0 and 1 land on different workers
+  config.db.data_dir = dir.string();
+  config.db.txn.durable_commits = true;
+
+  // Acknowledged commits: keys 0-9 and 100-109 (one per partition), plus
+  // B's key 20. A rewrites 105 and inserts 150.
+  std::map<std::uint32_t, std::string> committed;
+  for (std::uint32_t k = 0; k < 10; ++k) {
+    committed[k] = "c" + std::to_string(k);
+    committed[100 + k] = "c" + std::to_string(100 + k);
+  }
+  committed[20] = "winner";
+  const std::string kLoserValue = "loser-value";
+
+  auto insert = [](std::uint32_t k, const std::string& value) {
+    TxnRequest req;
+    const std::string key = KeyU32(k);
+    req.Add(0, "t", key, [key, value](ExecContext& ctx) {
+      return ctx.Insert(key, value);
+    });
+    return req;
+  };
+
+  std::fflush(nullptr);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Child: plain exit codes only, never returns into the test harness.
+    auto created = CreateEngine(config);
+    if (!created.ok()) _exit(2);
+    auto engine = std::move(created).value();
+    if (!engine->db().open_status().ok()) _exit(2);
+    engine->Start();
+    if (!engine->CreateTable("t", {"", KeyU32(100)}).ok()) _exit(3);
+    for (const auto& [k, value] : committed) {
+      if (k == 20) continue;  // B's key, committed below
+      TxnRequest req = insert(k, value);
+      if (!engine->Execute(req).ok()) _exit(3);
+    }
+
+    std::atomic<bool> a_wrote{false};
+    TxnRequest a;
+    a.Add(0, "t", KeyU32(105), [&a_wrote, kLoserValue](ExecContext& ctx) {
+      Status st = ctx.Update(KeyU32(105), kLoserValue);
+      if (st.ok()) st = ctx.Insert(KeyU32(150), kLoserValue);
+      if (!st.ok()) return st;
+      a_wrote.store(true);
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+    });
+    TxnHandle a_handle = engine->Submit(std::move(a));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!a_wrote.load()) {
+      if (std::chrono::steady_clock::now() > deadline) _exit(4);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!engine->db().pool()->FlushAllDirty(LatchPolicy::kLatched).ok()) {
+      _exit(6);
+    }
+    TxnRequest b = insert(20, committed[20]);
+    if (!engine->Execute(b).ok()) _exit(5);
+    _exit(0);  // the crash: A still blocked, nothing closed
+  }
+  int wait_status = 0;
+  ASSERT_EQ(waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  ASSERT_EQ(WEXITSTATUS(wait_status), 0) << "child failed before the crash";
+
+  auto created = CreateEngine(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto engine = std::move(created).value();
+  ASSERT_TRUE(engine->db().open_status().ok())
+      << engine->db().open_status().ToString();
+  engine->Start();
+  const RecoveryManager::Stats& stats = engine->db().recovery_stats();
+  EXPECT_GE(stats.losers, 1u);
+  EXPECT_GE(stats.undo_ops, 1u);
+
+  for (const auto& [k, expected] : committed) {
+    TxnRequest req;
+    const std::string key = KeyU32(k);
+    auto payload = std::make_shared<std::string>();
+    req.Add(0, "t", key, [key, payload](ExecContext& ctx) {
+      return ctx.Read(key, payload.get());
+    });
+    ASSERT_TRUE(engine->Execute(req).ok()) << "committed key " << k;
+    EXPECT_EQ(*payload, expected) << "key " << k;
+  }
+  Table* table = engine->db().GetTable("t");
+  ASSERT_NE(table, nullptr);
+  std::string unused;
+  EXPECT_FALSE(table->primary()->Probe(KeyU32(150), &unused).ok())
+      << "the loser's insert survived in the index";
+  EXPECT_EQ(table->primary()->num_entries(), committed.size());
+  // No heap record may still carry the loser's bytes (its update's
+  // before-image and its insert are both undone in the heap).
+  int loser_records = 0;
+  table->heap()->Scan([&](Rid, Slice rec) {
+    if (rec.view().find(kLoserValue) != std::string_view::npos) {
+      ++loser_records;
+    }
+  });
+  EXPECT_EQ(loser_records, 0);
+  engine->Stop();
+  engine.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -99,8 +99,6 @@ RELAXED_ALLOW = {
     "src/metrics/flight_recorder.cc",
     "src/metrics/registry.h",
     "src/metrics/registry.cc",
-    "src/metrics/throughput_probe.h",
-    "src/metrics/throughput_probe.cc",
     "src/metrics/txn_trace.h",
     "src/sync/cs_profiler.cc",
     "src/sync/spinlock.h",
@@ -118,7 +116,7 @@ LATCH_ACQ_ALLOW = {
     "src/sync/latch.h",              # the implementation
     "src/index/btree.cc",            # latch crabbing (guard-per-level)
     "src/buffer/buffer_pool.cc",     # eviction/unswizzle try-latch
-    "src/metrics/time_breakdown.cc",  # contention probe
+    "src/metrics/time_breakdown.cc",  # uncontended latch-cost calibration
 }
 
 # --- R4: std locking primitives ---------------------------------------------
