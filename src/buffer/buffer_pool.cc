@@ -1,9 +1,27 @@
 #include "src/buffer/buffer_pool.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "src/common/clock.h"
 #include "src/io/disk_manager.h"
@@ -17,7 +35,7 @@ BufferPool::BufferPool(BufferPoolConfig config) : config_(std::move(config)) {
     shards_.push_back(std::make_unique<Shard>());
   }
   dir_root_ = std::make_unique<std::atomic<DirChunk*>[]>(kDirRootSize);
-  frame_root_ = std::make_unique<std::atomic<FrameChunk*>[]>(kFrameRootSize);
+  frame_root_ = std::make_unique<std::atomic<Page*>[]>(kFrameRootSize);
   swizzling_on_ = config_.unswizzle_child != nullptr &&
                   config_.unswizzle_all != nullptr;
   if (config_.disk != nullptr) {
@@ -62,19 +80,19 @@ BufferPool::BufferPool(BufferPoolConfig config) : config_(std::move(config)) {
 
 BufferPool::~BufferPool() {
   if (metrics_ != nullptr) metrics_->UnregisterGaugeProvider(this);
+  MutexLock g(frames_mu_);
 #ifndef NDEBUG
   // Pin-discipline trap (debug builds only): by teardown every Pin()
   // must have been paired by its PageRef/PinGuard. A surviving pin means
   // a guard leaked somewhere — in a live pool that frame is silently
   // unevictable forever, so fail loudly here where it is attributable.
-  // The flight-recorder black box ships with the abort: the last events
-  // per thread usually name the access path that leaked the guard.
+  // Walks every arena frame, so recycled frames on the free list (a pin
+  // leaked across a steal or FreePage) are covered too. The
+  // flight-recorder black box ships with the abort: the last events per
+  // thread usually name the access path that leaked the guard.
   bool leaked_pin = false;
-  for (auto& shard : shards_) {
-    TrackedMutexLock g(shard->mu);
-    for ([[maybe_unused]] auto& [id, page] : shard->pages) {
-      if (page->pin_count() != 0) leaked_pin = true;
-    }
+  for (std::uint32_t i = 0; i < frame_count_; ++i) {
+    if (FrameAt(i)->pin_count() != 0) leaked_pin = true;
   }
   if (leaked_pin) {
     FlightRecorder::Global().DumpBlackBox(2);
@@ -84,8 +102,13 @@ BufferPool::~BufferPool() {
   for (std::size_t i = 0; i < kDirRootSize; ++i) {
     delete dir_root_[i].load(std::memory_order_relaxed);
   }
+  for (std::uint32_t i = 0; i < frame_count_; ++i) FrameAt(i)->~Page();
   for (std::size_t i = 0; i < kFrameRootSize; ++i) {
-    delete frame_root_[i].load(std::memory_order_relaxed);
+    Page* chunk = frame_root_[i].load(std::memory_order_relaxed);
+    if (chunk == nullptr) break;
+    // Clear the shadow so a later mapping at this address starts clean.
+    ASAN_UNPOISON_MEMORY_REGION(chunk, kFrameChunkBytes);
+    munmap(chunk, kFrameChunkBytes);
   }
 }
 
@@ -127,15 +150,9 @@ void BufferPool::DirRetract(PageId id) {
 
 // --- Type-stable frame arena -----------------------------------------------
 
-Page* BufferPool::FrameAt(std::uint32_t idx) const {
-  FrameChunk* chunk =
-      frame_root_[idx >> kFrameChunkBits].load(std::memory_order_acquire);
-  assert(chunk != nullptr);
-  return chunk->frames[idx & (kFrameChunkSize - 1)].load(
-      std::memory_order_acquire);
-}
-
 Page* BufferPool::TakeFrame(PageId id, PageClass page_class) {
+  Page* slot = nullptr;
+  std::uint32_t idx = 0;
   {
     MutexLock g(frames_mu_);
     if (!free_frames_.empty()) {
@@ -144,27 +161,36 @@ Page* BufferPool::TakeFrame(PageId id, PageClass page_class) {
       frame->Reinit(id, page_class);
       return frame;
     }
-  }
-  auto owned = std::make_unique<Page>(id, page_class);
-  Page* frame = owned.get();
-  MutexLock g(frames_mu_);
-  const std::uint32_t idx = frame_count_;
-  if (idx < kFrameRootSize * kFrameChunkSize) {
+    idx = frame_count_;
     const std::size_t hi = idx >> kFrameChunkBits;
-    FrameChunk* chunk = frame_root_[hi].load(std::memory_order_acquire);
+    if (hi == kFrameRootSize) {
+      std::fprintf(stderr, "FATAL: buffer pool frame arena exhausted (%zu "
+                   "frames)\n", kFrameRootSize * kFrameChunkSize);
+      std::abort();
+    }
+    Page* chunk = frame_root_[hi].load(std::memory_order_relaxed);
     if (chunk == nullptr) {
-      chunk = new FrameChunk();
+      void* base = mmap(nullptr, kFrameChunkBytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (base == MAP_FAILED) {
+        std::fprintf(stderr, "FATAL: frame slab mmap failed: %s\n",
+                     std::strerror(errno));
+        std::abort();
+      }
+      // Unconstructed slots stay poisoned, so a FrameAt on an index never
+      // handed out is reported instead of reading zeroed memory.
+      ASAN_POISON_MEMORY_REGION(base, kFrameChunkBytes);
+      chunk = static_cast<Page*>(base);
       frame_root_[hi].store(chunk, std::memory_order_release);
     }
-    chunk->frames[idx & (kFrameChunkSize - 1)].store(
-        frame, std::memory_order_release);
-    frame->set_frame_index(idx);
+    slot = chunk + (idx & (kFrameChunkSize - 1));
     frame_count_ = idx + 1;
   }
-  // else: arena full — the frame works normally but can never be the
-  // target of a swizzled reference (kNoFrameIndex).
-  owned_frames_.push_back(std::move(owned));
-  return frame;
+  // The slot is reserved and unreachable until the caller publishes the
+  // frame, so constructing it (8 KiB of first-touch page faults) needs
+  // no lock.
+  ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Page));
+  return new (slot) Page(id, page_class, idx);
 }
 
 void BufferPool::ReturnFrame(Page* frame) {

@@ -6,8 +6,9 @@
 // (page-in, eviction, free) and writer-side iteration. A fix that needs a
 // pin uses a pin/fence/revalidate protocol against the evictor's
 // retract/fence/pin-check, so a steal and a lock-free fix can never both
-// win. Frames are type-stable — evicted frames are recycled through a free
-// list, never deleted — so a stale directory read is always safe to
+// win. Frames are type-stable — they live in pool-owned mmap'd slabs,
+// evicted frames are recycled through a free list and only the pool's
+// destructor unmaps them — so a stale directory read is always safe to
 // dereference.
 //
 // Pointer swizzling (Foster-B-tree lineage, see docs/buffer_pool.md): a
@@ -272,21 +273,25 @@ class BufferPool {
     std::atomic<Page*> slots[kDirChunkSize];
   };
 
-  // Frame arena: frame_index-addressed chunked table backing swizzled
-  // references. Frames keep their slot for the pool's lifetime.
+  // Frame arena: frame_root_[hi] is the base of one anonymous mmap'd slab
+  // of kFrameChunkSize Page slots, so frame `idx` sits at a fixed address
+  // for the pool's lifetime and FrameAt is address arithmetic. Slots turn
+  // resident only as TakeFrame constructs them; ~BufferPool unmaps every
+  // slab, handing the memory straight back to the OS. mmap rather than
+  // operator new: glibc raises its mmap threshold after freeing a large
+  // block (the log ring), which would route slab-sized requests into
+  // malloc arenas that never shrink.
   static constexpr std::size_t kFrameChunkBits = 10;
   static constexpr std::size_t kFrameChunkSize =
       std::size_t{1} << kFrameChunkBits;
+  static constexpr std::size_t kFrameChunkBytes =
+      kFrameChunkSize * sizeof(Page);
   static constexpr std::size_t kFrameRootSize = 4096;
-  struct FrameChunk {
-    std::atomic<Page*> frames[kFrameChunkSize];
-  };
 
   struct Shard {
     TrackedMutex mu{CsCategory::kBufferPool};
     // Authoritative mapping; the lock-free directory mirrors it for
-    // readers. Values are arena frames owned by `owned_frames_` — never
-    // deleted here.
+    // readers. Values are arena frames — never deleted here.
     std::unordered_map<PageId, Page*> pages PLP_GUARDED_BY(mu);
   };
 
@@ -306,8 +311,13 @@ class BufferPool {
   void DirRetract(PageId id);
   std::atomic<Page*>* DirSlot(PageId id, bool create);
 
-  // Frame arena / free-list ops.
-  Page* FrameAt(std::uint32_t idx) const;
+  // Frame arena / free-list ops. FrameAt is valid for any index TakeFrame
+  // has handed out.
+  Page* FrameAt(std::uint32_t idx) const {
+    return frame_root_[idx >> kFrameChunkBits].load(
+               std::memory_order_acquire) +
+           (idx & (kFrameChunkSize - 1));
+  }
   Page* TakeFrame(PageId id, PageClass page_class);
   void ReturnFrame(Page* frame);
 
@@ -360,10 +370,9 @@ class BufferPool {
   std::unique_ptr<std::atomic<DirChunk*>[]> dir_root_;
   Mutex dir_alloc_mu_;
 
-  std::unique_ptr<std::atomic<FrameChunk*>[]> frame_root_;
+  std::unique_ptr<std::atomic<Page*>[]> frame_root_;
   Mutex frames_mu_;
   std::uint32_t frame_count_ PLP_GUARDED_BY(frames_mu_) = 0;
-  std::vector<std::unique_ptr<Page>> owned_frames_ PLP_GUARDED_BY(frames_mu_);
   std::vector<Page*> free_frames_ PLP_GUARDED_BY(frames_mu_);
 
   // Clock sweep over eviction candidates (heap-class frames).

@@ -13,17 +13,19 @@ namespace plp {
 /// A page frame. The latch is tagged with the page class so every
 /// acquisition lands in the right bucket of the latch breakdown (Figure 2).
 ///
-/// Frames are type-stable: once allocated, a Page object lives until the
-/// pool is destroyed. Eviction detaches a frame from the mapping table and
+/// Frames are type-stable: the pool constructs each Page in a slot of its
+/// mmap'd frame arena, and the object lives there until the pool is
+/// destroyed. Eviction detaches a frame from the mapping table and
 /// recycles it through Reinit() for the next page-in. A lock-free reader
 /// that loaded a stale directory entry may therefore still dereference the
 /// frame safely; its pin/revalidate protocol then detects the recycling.
 class Page {
  public:
-  static constexpr std::uint32_t kNoFrameIndex = UINT32_MAX;
-
-  Page(PageId id, PageClass page_class)
-      : id_(id), page_class_(page_class), latch_(page_class) {
+  Page(PageId id, PageClass page_class, std::uint32_t frame_index)
+      : id_(id),
+        page_class_(page_class),
+        frame_index_(frame_index),
+        latch_(page_class) {
     std::memset(data_, 0, kPageSize);
   }
 
@@ -62,11 +64,10 @@ class Page {
     latch_.set_page_class(page_class);
   }
 
-  /// Position of this frame in the pool's frame arena; set once right after
-  /// construction and stable across recycling. kNoFrameIndex means the
-  /// frame is outside the arena and can never be swizzled.
+  /// Position of this frame in the pool's frame arena (its slot); fixed at
+  /// construction and stable across recycling, so every frame can be the
+  /// target of a swizzled reference.
   std::uint32_t frame_index() const { return frame_index_; }
-  void set_frame_index(std::uint32_t idx) { frame_index_ = idx; }
 
   /// PageId of the parent index page currently holding a swizzled reference
   /// to this frame (kInvalidPageId = not swizzled). Maintained by the
@@ -184,7 +185,7 @@ class Page {
  private:
   std::atomic<PageId> id_;
   std::atomic<PageClass> page_class_;
-  std::uint32_t frame_index_ = kNoFrameIndex;
+  const std::uint32_t frame_index_;
   Latch latch_;
   std::atomic<bool> dirty_{false};
   std::atomic<Lsn> page_lsn_{0};

@@ -85,8 +85,7 @@ PageRef BTree::FixChildFor(Page* parent, Slice key) {
     return PageRef(child, pin);
   }
   PageRef child = FixPage(ref);
-  if (child && child->frame_index() != Page::kNoFrameIndex &&
-      child->TrySetSwizzleParent(parent->id())) {
+  if (child && child->TrySetSwizzleParent(parent->id())) {
     const PageId tagged = SwizzleRef(child->frame_index());
     if (node.CasChildRef(slot, ref, tagged)) {
       // Never MarkDirty: the tagged value is a runtime-only encoding,

@@ -100,6 +100,47 @@ TEST(BufferPoolTest, ConcurrentAllocation) {
   EXPECT_EQ(pool.num_pages(), static_cast<std::size_t>(kThreads) * kEach);
 }
 
+// Frames live in fixed-size slabs (1024 slots each): allocations spanning
+// several slabs from several threads still get dense frame indexes, and a
+// swizzled reference resolves to the frame by address arithmetic alone.
+TEST(BufferPoolTest, FrameArenaIndexesAreDenseAcrossSlabs) {
+  BufferPool pool;
+  constexpr int kThreads = 4, kEach = 625;  // 2500 frames: three slabs
+  std::vector<std::vector<Page*>> taken(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &taken, t] {
+      for (int i = 0; i < kEach; ++i) {
+        taken[t].push_back(pool.NewPage(PageClass::kHeap));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  constexpr std::size_t kTotal = std::size_t{kThreads} * kEach;
+  std::vector<bool> seen(kTotal, false);
+  for (const auto& pages : taken) {
+    for (Page* f : pages) {
+      const std::uint32_t idx = f->frame_index();
+      ASSERT_LT(idx, kTotal);
+      EXPECT_FALSE(seen[idx]) << "frame index " << idx << " handed out twice";
+      seen[idx] = true;
+      EXPECT_EQ(pool.SwizzledFrame(SwizzleRef(idx)), f);
+      EXPECT_EQ(pool.Fix(f->id()), f);
+    }
+  }
+
+  // A recycled frame keeps its slot, and so its index.
+  Page* victim = taken[1][7];
+  const std::uint32_t idx = victim->frame_index();
+  pool.FreePage(victim->id());
+  Page* reused = pool.NewPage(PageClass::kIndex);
+  EXPECT_EQ(reused, victim);
+  EXPECT_EQ(reused->frame_index(), idx);
+  EXPECT_EQ(reused->page_class(), PageClass::kIndex);
+  EXPECT_EQ(pool.SwizzledFrame(SwizzleRef(idx)), reused);
+}
+
 TEST(PageCleanerTest, CleansDirtyPagesDirectly) {
   BufferPool pool;
   Page* a = pool.NewPage(PageClass::kHeap);
@@ -281,6 +322,24 @@ TEST(PinGuardDeathTest, LeakedPinTrapsAtTeardownInDebugBuilds) {
         victim.NewPage(PageClass::kHeap)->Pin();
       },
       "PLP FLIGHT RECORDER BLACK BOX");
+#endif
+}
+
+// The trap walks every arena frame, so a pin leaked on a frame that was
+// then freed (now on the free list, in no shard map) is caught too.
+TEST(PinGuardDeathTest, LeakedPinOnFreedFrameTrapsAtTeardown) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "pin-discipline trap compiles out in NDEBUG builds";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        BufferPool victim;
+        Page* page = victim.NewPage(PageClass::kHeap);
+        page->Pin();  // deliberately leaked
+        victim.FreePage(page->id());
+      },
+      "leaked pin at BufferPool teardown");
 #endif
 }
 
