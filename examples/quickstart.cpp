@@ -65,9 +65,6 @@ int main() {
       return ctx.Insert(key, "balance=100");
     });
     TxnOptions options;
-    // With PLP_TRACE_PATH set, sample some submissions for stage tracing
-    // so the exported timeline has txn_stage spans to show.
-    options.trace = std::getenv("PLP_TRACE_PATH") != nullptr && id % 16 == 0;
     options.on_complete = [&callback_commits](const Status& st) {
       if (st.ok()) callback_commits.fetch_add(1, std::memory_order_relaxed);
     };
@@ -132,8 +129,8 @@ int main() {
               static_cast<unsigned long long>(stats.counter("partition.txns")));
 
   // 6. Flight recorder: with PLP_TRACE_PATH set, export the per-thread
-  //    event rings (txn stage spans, partition phases, any latch/lock
-  //    waits) as Chrome-trace JSON, loadable in Perfetto.
+  //    event rings (partition phases, any latch/lock waits) as
+  //    Chrome-trace JSON, loadable in Perfetto.
   if (const char* trace_path = std::getenv("PLP_TRACE_PATH")) {
     if (Status st = engine->DumpTrace(trace_path); st.ok()) {
       std::printf("flight recorder trace  : %s\n", trace_path);

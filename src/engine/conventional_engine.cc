@@ -45,9 +45,7 @@ void ConventionalEngine::Stop() {
 
 void ConventionalEngine::SubmitImpl(TxnRequest req, TxnToken token) {
   if (!pool_running_.load(std::memory_order_acquire)) {
-    TxnTimeline* trace = token.trace();
-    if (trace != nullptr) TxnTimeline::Stamp(trace->execute_ns, NowNanos());
-    token.Complete(RunSync(req, trace));
+    token.Complete(RunSync(req));
     return;
   }
   jobs_.Push(Job{std::move(req), std::move(token)});
@@ -57,9 +55,7 @@ void ConventionalEngine::PoolLoop() {
   for (;;) {
     auto job = jobs_.Pop();
     if (!job.has_value()) return;  // queue closed
-    TxnTimeline* trace = job->token.trace();
-    if (trace != nullptr) TxnTimeline::Stamp(trace->execute_ns, NowNanos());
-    job->token.Complete(RunSync(job->req, trace));
+    job->token.Complete(RunSync(job->req));
   }
 }
 
@@ -86,9 +82,8 @@ SliCache* ConventionalEngine::ThreadSli() {
   return slot.get();
 }
 
-Status ConventionalEngine::RunSync(TxnRequest& req, TxnTimeline* trace) {
+Status ConventionalEngine::RunSync(TxnRequest& req) {
   Transaction* txn = db_.txns()->Begin();
-  txn->set_trace(trace);
   std::vector<std::function<Status()>> undos;
   Status failure = Status::OK();
 

@@ -46,9 +46,7 @@ class ConventionalEngine : public Engine {
   };
 
   /// Runs one transaction to commit or abort on the calling thread.
-  /// `trace` (when the submission was traced) is handed to the Transaction
-  /// so Commit stamps the log-append / fsync-durable stages.
-  Status RunSync(TxnRequest& req, TxnTimeline* trace = nullptr);
+  Status RunSync(TxnRequest& req);
   void PoolLoop();
 
   /// Per-executor-thread SLI cache, owned by the engine (so caches cannot

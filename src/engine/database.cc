@@ -105,9 +105,7 @@ std::unique_ptr<DiskManager> OpenDisk(const DatabaseConfig& config,
 LogConfig MakeLogConfig(const DatabaseConfig& config,
                         MetricsRegistry* metrics) {
   LogConfig log = config.log;
-  if (!config.data_dir.empty() && log.wal_dir.empty()) {
-    log.wal_dir = config.data_dir + "/wal";
-  }
+  log.wal_dir = config.data_dir.empty() ? "" : config.data_dir + "/wal";
   log.metrics = metrics;
   return log;
 }

@@ -104,11 +104,13 @@ class Table {
 };
 
 struct DatabaseConfig {
+  /// Log settings; the database derives `wal_dir` (from `data_dir`) and
+  /// `metrics` itself, so only `segment_size` is the caller's.
   LogConfig log;
   TxnManagerConfig txn;
   /// When non-empty, the database is durable under this directory:
-  /// `data.db` (page slots), `wal/` (log segments, unless log.wal_dir is
-  /// set explicitly), `catalog` and `CHECKPOINT` (master record).
+  /// `data.db` (page slots), `wal/` (log segments), `catalog` and
+  /// `CHECKPOINT` (master record).
   std::string data_dir;
   /// Buffer-pool frame budget (0 = unlimited / never evict). Meaningful
   /// only with `data_dir`, which provides the backing store to steal to.

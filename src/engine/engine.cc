@@ -9,8 +9,7 @@ namespace plp {
 Engine::Engine(EngineConfig config)
     : config_(config),
       gate_(config.max_inflight),
-      db_(config.db),
-      trace_sinks_(db_.metrics()) {
+      db_(config.db) {
   MetricsRegistry* m = db_.metrics();
   rejected_metric_ = m->counter("admission.rejected");
   gate_.BindMetrics(m->counter("admission.admitted"), rejected_metric_,
@@ -72,18 +71,10 @@ TxnHandle Engine::Submit(TxnRequest req, TxnOptions options) {
   auto state = std::make_shared<internal::TxnShared>();
   state->callback = std::move(options.on_complete);
   state->executor = callback_executor_.get();
-  if (options.trace) {
-    state->trace = std::make_unique<TxnTimeline>();
-    state->trace_sinks = &trace_sinks_;
-    state->trace->submit_ns.store(NowNanos(), std::memory_order_relaxed);
-  }
   TxnHandle handle(state);
   if (!gate_.Acquire(options.on_full == TxnOptions::OnFull::kBlock)) {
     internal::ResolveTxn(state, Status::Retry("engine at max_inflight"));
     return handle;
-  }
-  if (state->trace != nullptr) {
-    state->trace->admitted_ns.store(NowNanos(), std::memory_order_relaxed);
   }
   state->gate = &gate_;
   SubmitImpl(std::move(req), TxnToken(std::move(state)));

@@ -74,13 +74,6 @@ struct TxnOptions {
              // Status::Retry(); the caller resubmits later
   };
   OnFull on_full = OnFull::kBlock;
-  /// Stamp a per-stage timeline (submit -> admitted -> queued -> execute ->
-  /// log-append -> fsync-durable -> callback) onto the transaction,
-  /// readable via TxnHandle::timeline() after completion and rolled into
-  /// the engine's trace.* stage histograms. Costs one small allocation and
-  /// a few clock reads per traced transaction; untraced submissions pay a
-  /// null check.
-  bool trace = false;
   /// Runs exactly once with the final status, on the thread that completes
   /// the transaction (a worker/pool thread — or the submitting thread when
   /// admission rejects with kRetry, or at engine teardown). It runs before
@@ -140,8 +133,8 @@ class Engine {
   SystemDesign design() const { return config_.design; }
 
   /// Point-in-time snapshot of every registered metric (counters, gauges
-  /// including the admission-gate and per-partition providers, stage/
-  /// latency histograms). Never blocks record paths; see
+  /// including the admission-gate and per-partition providers, latency
+  /// histograms). Never blocks record paths; see
   /// docs/observability.md for the metric catalog.
   StatsSnapshot GetStats() { return db_.metrics()->Snapshot(); }
 
@@ -151,9 +144,9 @@ class Engine {
 
   /// Writes the flight recorder's Chrome-trace (Perfetto-loadable) JSON
   /// to `path`: everything still in the per-thread rings — latch/lock
-  /// waits, WAL fsyncs, buffer-pool stalls, traced-txn stage spans,
-  /// partition phases, checkpoint/recovery spans. The workload driver and
-  /// quickstart wire this to the PLP_TRACE_PATH environment variable.
+  /// waits, WAL fsyncs, buffer-pool stalls, partition phases,
+  /// checkpoint/recovery spans. The workload driver and quickstart wire
+  /// this to the PLP_TRACE_PATH environment variable.
   Status DumpTrace(const std::string& path) {
     return FlightRecorder::Global().ExportChromeTrace(path);
   }
@@ -183,9 +176,6 @@ class Engine {
   EngineConfig config_;
   AdmissionGate gate_;
   Database db_;
-  /// Stage-histogram pointers for traced transactions (resolved once here
-  /// so completion never touches the registry mutex).
-  TxnTraceSinks trace_sinks_;
   // Declared last: destroyed first, so straggling callbacks (which touch
   // the gate and may touch db state) run while both are still alive.
   std::unique_ptr<CallbackExecutor> callback_executor_;

@@ -219,9 +219,6 @@ void PartitionManager::Submit(TxnRequest req, TxnToken token) {
   flow->req = std::move(req);
   flow->token = std::move(token);
   flow->txn = db_->txns()->Begin();
-  // Hand the token's stage timeline (if traced) to the Transaction so
-  // Commit can stamp log-append and fsync-durable.
-  flow->txn->set_trace(flow->token.trace());
   DispatchPhase(flow);
 }
 
@@ -319,11 +316,6 @@ void PartitionManager::DispatchPhase(const std::shared_ptr<TxnFlow>& flow) {
     ActionFn* fn = &action.fn;
     workers_[static_cast<std::size_t>(worker)]->queue.Push(Task{
         [this, flow, table, p, uid, slot, fn] {
-          // First action to run stamps partition-execute (CAS from zero,
-          // so later actions of a multi-action txn are no-ops).
-          if (TxnTimeline* tl = flow->token.trace()) {
-            TxnTimeline::Stamp(tl->execute_ns, NowNanos());
-          }
           std::vector<std::function<Status()>> undos;
           auto ctx = factory_(table, p, uid, flow->txn, &undos);
           slot->status = (*fn)(*ctx);

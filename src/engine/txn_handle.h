@@ -17,7 +17,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
-#include "src/metrics/txn_trace.h"
+#include "src/metrics/registry.h"
 #include "src/sync/latch.h"
 #include "src/sync/thread_annotations.h"
 
@@ -201,10 +201,6 @@ struct TxnShared {
   std::function<void(const Status&)> callback;
   AdmissionGate* gate = nullptr;      // slot released after completion
   CallbackExecutor* executor = nullptr;  // callback off the worker thread
-  /// Stage timeline, allocated only when TxnOptions::trace is set; the
-  /// sinks roll the stamped stages into registry histograms at resolution.
-  std::unique_ptr<TxnTimeline> trace;
-  const TxnTraceSinks* trace_sinks = nullptr;
 };
 
 /// Second half of completion: frees the admission slot, then releases
@@ -228,11 +224,6 @@ inline void FinishTxn(const std::shared_ptr<TxnShared>& s, Status status) {
 /// slot.
 inline void ResolveTxn(const std::shared_ptr<TxnShared>& s, Status status) {
   if (s->resolved.exchange(true, std::memory_order_acq_rel)) return;
-  if (s->trace != nullptr) {
-    TxnTimeline::Stamp(s->trace->complete_ns, NowNanos());
-    if (s->trace_sinks != nullptr) s->trace_sinks->Record(*s->trace);
-    EmitTimelineSpans(*s->trace);
-  }
   if (s->callback && s->executor != nullptr) {
     if (s->executor->Post([s, status] {
           s->callback(status);
@@ -280,13 +271,6 @@ class TxnHandle {
     return TryGet(nullptr);
   }
 
-  /// Stage timeline when the transaction was submitted with
-  /// TxnOptions::trace; nullptr otherwise. Stamps are nanosecond
-  /// NowNanos() readings; all stamps are final once Wait() returns.
-  const TxnTimeline* timeline() const {
-    return state_ == nullptr ? nullptr : state_->trace.get();
-  }
-
  private:
   friend class Engine;
   explicit TxnHandle(std::shared_ptr<internal::TxnShared> state)
@@ -317,12 +301,6 @@ class TxnToken {
     if (state_ == nullptr) return;
     internal::ResolveTxn(state_, std::move(status));
     state_.reset();
-  }
-
-  /// Timeline to stamp as the token moves through the pipeline; nullptr
-  /// when the submission was not traced (engines skip all stamping then).
-  TxnTimeline* trace() const {
-    return state_ == nullptr ? nullptr : state_->trace.get();
   }
 
  private:

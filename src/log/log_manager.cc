@@ -44,8 +44,7 @@ LogManager::LogManager(LogConfig config) : config_(config) {
     }
   }
   buffer_ =
-      std::make_unique<LogBuffer>(config_.buffer_size, std::move(sink),
-                                  start_lsn);
+      std::make_unique<LogBuffer>(kBufferSize, std::move(sink), start_lsn);
 }
 
 LogManager::~LogManager() = default;

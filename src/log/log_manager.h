@@ -32,7 +32,6 @@ namespace plp {
 class WalStorage;
 
 struct LogConfig {
-  std::size_t buffer_size = 16u << 20;
   /// When non-empty, the log lives in segmented files under this directory
   /// and can be scanned; otherwise flushed bytes are discarded.
   std::string wal_dir;
@@ -44,6 +43,10 @@ struct LogConfig {
 
 class LogManager {
  public:
+  /// Capacity of the in-memory log ring that appends land in before a
+  /// flush drains them.
+  static constexpr std::size_t kBufferSize = 16u << 20;
+
   explicit LogManager(LogConfig config = {});
   ~LogManager();
 

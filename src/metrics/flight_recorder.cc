@@ -34,18 +34,11 @@ constexpr TypeDesc kTypeDesc[kNumTraceEventTypes] = {
     {"wal_fsync", "io", 'X'},
     {"buf_miss", "io", 'X'},
     {"evict_writeback", "io", 'X'},
-    {"txn_stage", "txn", 'X'},
     {"partition_phase", "engine", 'i'},
     {"checkpoint", "engine", 'X'},
     {"recovery", "engine", 'X'},
     {"marker", "test", 'i'},
 };
-
-// Stage-span names for kTxnStage events; indices match the TxnStageId
-// values emitted by EmitTxnTimeline (txn_trace.h) and the trace.*_us
-// histogram family.
-constexpr const char* kTxnStageNames[] = {"admission", "queue", "execute",
-                                          "fsync", "callback", "total"};
 
 // --- async-signal-safe formatting helpers (write(2) only) -------------------
 
@@ -313,12 +306,6 @@ std::string FlightRecorder::ExportChromeTraceJson() const {
         std::snprintf(args, sizeof(args),
                       "{\"page\":%" PRIu64 ",\"site\":\"%s\"}", ev.arg0,
                       TraceSiteName(ev.site));
-        break;
-      case TraceEventType::kTxnStage:
-        std::snprintf(args, sizeof(args),
-                      "{\"stage\":\"%s\",\"txn\":%" PRIu64 "}",
-                      ev.arg0 < 6 ? kTxnStageNames[ev.arg0] : "invalid",
-                      ev.arg1);
         break;
       case TraceEventType::kPartitionPhase:
         std::snprintf(args, sizeof(args),

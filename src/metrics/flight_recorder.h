@@ -48,13 +48,12 @@ enum class TraceEventType : std::uint16_t {
   kWalFsync = 4,       // group-commit fsync; arg0=batch bytes, arg1=lsn
   kBufMissStall = 5,   // buffer-pool miss (disk read on the fix path); arg0=page id
   kEvictWriteback = 6, // eviction stole a dirty frame; arg0=page id
-  kTxnStage = 7,       // one TxnTimeline stage span; arg0=TxnStageId, arg1=txn trace id
-  kPartitionPhase = 8, // rendezvous phase dispatched; arg0=phase idx, arg1=actions
-  kCheckpoint = 9,     // fuzzy checkpoint span; arg0=payload bytes
-  kRecovery = 10,      // restart recovery span; arg0=redo ops, arg1=undo ops
-  kMarker = 11,        // test/diagnostic marker; args free-form
+  kPartitionPhase = 7, // rendezvous phase dispatched; arg0=phase idx, arg1=actions
+  kCheckpoint = 8,     // fuzzy checkpoint span; arg0=payload bytes
+  kRecovery = 9,       // restart recovery span; arg0=redo ops, arg1=undo ops
+  kMarker = 10,        // test/diagnostic marker; args free-form
 };
-inline constexpr std::size_t kNumTraceEventTypes = 12;
+inline constexpr std::size_t kNumTraceEventTypes = 11;
 
 const char* TraceEventTypeName(TraceEventType t);
 

@@ -8,7 +8,6 @@
 
 #include "src/common/status.h"
 #include "src/common/types.h"
-#include "src/metrics/txn_trace.h"
 
 namespace plp {
 
@@ -49,19 +48,12 @@ class Transaction {
 
   std::size_t undo_size() const { return undo_actions_.size(); }
 
-  /// Stage timeline of the owning Engine::Submit when the submission was
-  /// traced (TxnOptions::trace); lets TxnManager::Commit stamp the
-  /// log-append and fsync-durable stages. Not owned; nullptr otherwise.
-  TxnTimeline* trace() const { return trace_; }
-  void set_trace(TxnTimeline* t) { trace_ = t; }
-
  private:
   const TxnId id_;
   TxnState state_ = TxnState::kActive;
   Lsn begin_lsn_ = kInvalidLsn;
   std::vector<std::string> held_locks_;
   std::vector<std::function<Status()>> undo_actions_;
-  TxnTimeline* trace_ = nullptr;
 };
 
 }  // namespace plp

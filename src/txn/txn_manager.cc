@@ -47,17 +47,7 @@ Status TxnManager::Commit(Transaction* txn) {
   rec.type = LogType::kCommit;
   rec.txn = txn->id();
   const Lsn lsn = log_->Append(rec);
-  if (txn->trace() != nullptr) {
-    TxnTimeline::Stamp(txn->trace()->append_ns, NowNanos());
-  }
-  if (config_.durable_commits) {
-    log_->FlushTo(lsn);
-    // durable_ns only when commit actually waited for the fsync: the
-    // trace's fsync stage then measures the group-commit round trip.
-    if (txn->trace() != nullptr) {
-      TxnTimeline::Stamp(txn->trace()->durable_ns, NowNanos());
-    }
-  }
+  if (config_.durable_commits) log_->FlushTo(lsn);
   txn->set_state(TxnState::kCommitted);
   if (locks_ != nullptr) {
     locks_->ReleaseAll(txn->id(), txn->held_locks());

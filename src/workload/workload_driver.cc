@@ -23,13 +23,6 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   std::atomic<std::uint64_t> aborted{0};
   std::atomic<std::uint64_t> thread_time{0};
 
-  // Flight-recorder wiring: sample every Nth txn per client as traced so
-  // kTxnStage spans show up in the exported timeline without paying the
-  // timeline allocation on every submission.
-  const char* trace_path = std::getenv("PLP_TRACE_PATH");
-  int trace_every = options.trace_every;
-  if (trace_every == 0 && trace_path != nullptr) trace_every = 64;
-
   DriverResult result;
   const CsCounts before = CsProfiler::Global().Collect();
   engine->ResetPeakInflight();
@@ -59,55 +52,30 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
       Rng rng(options.seed * 1315423911u + static_cast<std::uint64_t>(i));
       auto& local_latencies = latencies[static_cast<std::size_t>(i)];
       const std::uint64_t start = NowNanos();
-      if (options.pipeline_depth > 0) {
-        // Open loop: keep `pipeline_depth` transactions in flight, reaping
-        // the oldest handle whenever the window is full (and draining the
-        // window at the end of the run).
-        std::deque<std::pair<TxnHandle, std::uint64_t>> window;
-        auto reap_front = [&] {
-          auto [handle, txn_start] = std::move(window.front());
-          window.pop_front();
-          const Status st = handle.Wait();
-          if (st.ok()) {
-            local_latencies.push_back(NowNanos() - txn_start);
-            committed.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            aborted.fetch_add(1, std::memory_order_relaxed);
-          }
-        };
-        std::uint64_t submitted = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          TxnRequest req = next(rng);
-          TxnOptions txn_options;
-          txn_options.trace =
-              trace_every > 0 &&
-              submitted++ % static_cast<std::uint64_t>(trace_every) == 0;
-          const std::uint64_t txn_start = NowNanos();
-          window.emplace_back(engine->Submit(std::move(req), txn_options),
-                              txn_start);
-          if (static_cast<int>(window.size()) >= options.pipeline_depth) {
-            reap_front();
-          }
+      // Keep up to `depth` transactions in flight, reaping the oldest
+      // handle whenever the window is full (and draining the window at the
+      // end of the run). Depth 1 is the closed loop: submit, then wait.
+      const auto depth =
+          static_cast<std::size_t>(std::max(1, options.pipeline_depth));
+      std::deque<std::pair<TxnHandle, std::uint64_t>> window;
+      auto reap_front = [&] {
+        auto [handle, txn_start] = std::move(window.front());
+        window.pop_front();
+        const Status st = handle.Wait();
+        if (st.ok()) {
+          local_latencies.push_back(NowNanos() - txn_start);
+          committed.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          aborted.fetch_add(1, std::memory_order_relaxed);
         }
-        while (!window.empty()) reap_front();
-      } else {
-        std::uint64_t submitted = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          TxnRequest req = next(rng);
-          TxnOptions txn_options;
-          txn_options.trace =
-              trace_every > 0 &&
-              submitted++ % static_cast<std::uint64_t>(trace_every) == 0;
-          const std::uint64_t txn_start = NowNanos();
-          Status st = engine->Submit(std::move(req), txn_options).Wait();
-          if (st.ok()) {
-            local_latencies.push_back(NowNanos() - txn_start);
-            committed.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            aborted.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+      };
+      while (!stop.load(std::memory_order_relaxed)) {
+        TxnRequest req = next(rng);
+        const std::uint64_t txn_start = NowNanos();
+        window.emplace_back(engine->Submit(std::move(req)), txn_start);
+        if (window.size() >= depth) reap_front();
       }
+      while (!window.empty()) reap_front();
       thread_time.fetch_add(NowNanos() - start, std::memory_order_relaxed);
     });
   }
@@ -149,7 +117,7 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
                                local_latencies.end());
   }
   std::sort(result.latencies_ns.begin(), result.latencies_ns.end());
-  if (trace_path != nullptr) {
+  if (const char* trace_path = std::getenv("PLP_TRACE_PATH")) {
     const Status st = engine->DumpTrace(trace_path);
     if (st.ok()) {
       std::fprintf(stderr, "[trace] wrote %s\n", trace_path);

@@ -18,17 +18,11 @@ struct DriverOptions {
   int num_threads = 4;
   std::chrono::milliseconds duration{1000};
   std::uint64_t seed = 1;
-  /// Open-loop pipelined mode: when > 0, each client thread keeps up to
-  /// this many transactions in flight through Engine::Submit instead of
-  /// blocking on Execute, reaping the oldest handle once the window is
-  /// full. 0 keeps the classic closed loop.
+  /// Open-loop pipelined mode: each client thread keeps up to this many
+  /// transactions in flight through Engine::Submit, reaping the oldest
+  /// handle once the window is full. 0 and 1 are the classic closed loop
+  /// (submit, then wait).
   int pipeline_depth = 0;
-  /// Submit every Nth transaction per client with TxnOptions::trace so its
-  /// stage timeline lands in the flight recorder (kTxnStage spans). 0 means
-  /// auto: every 64th when PLP_TRACE_PATH is set, otherwise none. At the
-  /// end of the run the driver exports the recorder's Chrome trace to
-  /// PLP_TRACE_PATH when that variable is set.
-  int trace_every = 0;
 };
 
 struct DriverResult {
@@ -40,9 +34,9 @@ struct DriverResult {
   /// transactions were concurrently in flight).
   std::uint64_t peak_inflight = 0;
   CsCounts cs_delta;                  // profiler delta over the window
-  /// Per-transaction latencies (ns), sorted ascending. Closed loop:
-  /// Execute() round trips. Open loop: submit-to-completion latency,
-  /// including time queued behind the pipeline window.
+  /// Per-transaction latencies (ns), sorted ascending: submit to
+  /// completion (in the open loop, including time queued behind the
+  /// pipeline window).
   std::vector<std::uint64_t> latencies_ns;
 
   /// One throughput window, counted from the driver's own commit tally.
@@ -94,8 +88,9 @@ using TxnFactory = std::function<TxnRequest(Rng&)>;
 
 /// Runs the workload for `options.duration`. Aborted transactions are
 /// counted and the client moves on (no retry), as in the paper's drivers.
-/// With `options.pipeline_depth > 0` the clients run open-loop through
-/// Engine::Submit (see DriverOptions).
+/// With `options.pipeline_depth > 1` the clients run open-loop (see
+/// DriverOptions). At the end of the run the driver exports the flight
+/// recorder's Chrome trace to PLP_TRACE_PATH when that variable is set.
 DriverResult RunWorkload(Engine* engine, const TxnFactory& next,
                          const DriverOptions& options);
 

@@ -394,43 +394,6 @@ TEST_P(AsyncApiTest, SubmitWithoutStartResolvesPromptly) {
   engine->Stop();
 }
 
-TEST_P(AsyncApiTest, TraceStampsMonotonicTimeline) {
-  TxnOptions options;
-  options.trace = true;
-  TxnHandle h = engine_->Submit(InsertTxn(61, "traced"), std::move(options));
-  ASSERT_TRUE(h.Wait().ok());
-
-  const TxnTimeline* t = h.timeline();
-  ASSERT_NE(t, nullptr);
-  const std::uint64_t submit = t->submit_ns.load();
-  const std::uint64_t admitted = t->admitted_ns.load();
-  const std::uint64_t execute = t->execute_ns.load();
-  const std::uint64_t append = t->append_ns.load();
-  const std::uint64_t complete = t->complete_ns.load();
-  EXPECT_GT(submit, 0u);
-  EXPECT_GE(admitted, submit);
-  EXPECT_GE(execute, admitted);
-  EXPECT_GE(append, execute);  // commit record followed the action
-  EXPECT_GE(complete, append);
-  // Non-durable config: the fsync-durable stage is never reached.
-  EXPECT_EQ(t->durable_ns.load(), 0u);
-
-  // The stage sinks fed the registry histograms.
-  const StatsSnapshot stats = engine_->GetStats();
-  const HistogramSummary* total = stats.histogram("trace.total_us");
-  ASSERT_NE(total, nullptr);
-  EXPECT_GE(total->count, 1u);
-  const HistogramSummary* fsync = stats.histogram("trace.fsync_us");
-  ASSERT_NE(fsync, nullptr);
-  EXPECT_EQ(fsync->count, 0u);
-}
-
-TEST_P(AsyncApiTest, UntracedSubmissionsCarryNoTimeline) {
-  TxnHandle h = engine_->Submit(InsertTxn(62, "plain"));
-  ASSERT_TRUE(h.Wait().ok());
-  EXPECT_EQ(h.timeline(), nullptr);
-}
-
 TEST_P(AsyncApiTest, StatsAdmissionBalancesAfterDrain) {
   constexpr int kTxns = 64;
   std::vector<TxnHandle> handles;

@@ -239,7 +239,9 @@ TEST_P(BTreeTest, RandomOpsMatchModel) {
       Status st = tree.Probe(key, &value);
       auto it = model.find(key);
       EXPECT_EQ(st.ok(), it != model.end());
-      if (st.ok()) EXPECT_EQ(value, it->second);
+      if (st.ok()) {
+        EXPECT_EQ(value, it->second);
+      }
     } else {
       Status st = tree.Update(key, "u" + key);
       auto it = model.find(key);

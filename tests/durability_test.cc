@@ -156,7 +156,7 @@ TEST_F(DurabilityTest, CleanCloseReopensWithMinimalReplay) {
 }
 
 TEST_F(DurabilityTest, CheckpointBoundsReplayAfterCrash) {
-  Lsn scan_start_floor = 0;
+  Lsn checkpoint_lsn = 0;
   {
     auto created = CreateEngine(MakeConfig());
     ASSERT_TRUE(created.ok()) << created.status().ToString();
@@ -167,7 +167,7 @@ TEST_F(DurabilityTest, CheckpointBoundsReplayAfterCrash) {
       ASSERT_TRUE(InsertOne(engine.get(), k).ok());
     }
     ASSERT_TRUE(engine->db().Checkpoint().ok());
-    scan_start_floor = engine->db().log()->durable_lsn();
+    checkpoint_lsn = engine->db().log()->durable_lsn();
     for (std::uint32_t k = 400; k < 500; ++k) {
       ASSERT_TRUE(InsertOne(engine.get(), k).ok());
     }
@@ -180,8 +180,10 @@ TEST_F(DurabilityTest, CheckpointBoundsReplayAfterCrash) {
   ASSERT_TRUE(engine->db().open_status().ok())
       << engine->db().open_status().ToString();
   // The restart scan began at the checkpoint's dirty-page horizon, far
-  // past the log's beginning (400 transactions came before it).
+  // past the log's beginning (400 transactions came before it) and not
+  // past the checkpoint itself.
   EXPECT_GT(engine->db().recovery_stats().scan_start, 0u);
+  EXPECT_LE(engine->db().recovery_stats().scan_start, checkpoint_lsn);
   for (std::uint32_t k = 0; k < 500; k += 13) {
     EXPECT_EQ(ReadOne(engine.get(), k), Payload(k)) << k;
   }

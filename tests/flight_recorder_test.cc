@@ -116,7 +116,7 @@ TEST(FlightRecorderTest, ChromeTraceExportShape) {
   FlightRecorder::Emit(TraceEventType::kLatchWait, t0, 5000, 5000,
                        static_cast<std::uint64_t>(PageClass::kIndex));
   FlightRecorder::Emit(TraceEventType::kWalFsync, t0 + 10000, 2000, 4096, 77);
-  FlightRecorder::Emit(TraceEventType::kTxnStage, t0 + 20000, 1000, 2, 42);
+  FlightRecorder::Emit(TraceEventType::kCheckpoint, t0 + 20000, 1000, 8192, 0);
   FlightRecorder::Emit(TraceEventType::kPartitionPhase, t0 + 30000, 0, 1, 3);
   const std::string json = fr.ExportChromeTraceJson();
 
@@ -128,16 +128,22 @@ TEST(FlightRecorderTest, ChromeTraceExportShape) {
   // All four event names present, with their categories.
   EXPECT_NE(json.find("\"name\":\"latch_wait\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"wal_fsync\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"txn_stage\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"checkpoint\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"partition_phase\""), std::string::npos);
   // Span events are complete ("X") with durations; the partition phase is
   // an instant; the emitting thread got a metadata name row.
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
-  // The txn_stage span names its stage and carries the correlation id.
-  EXPECT_NE(json.find("\"stage\":\"execute\""), std::string::npos);
-  EXPECT_NE(json.find("\"txn\":42"), std::string::npos);
+  // The checkpoint span renders as a complete event with its duration
+  // (1000 ns -> 1 us) and its payload argument.
+  EXPECT_NE(
+      json.find("\"name\":\"checkpoint\",\"cat\":\"engine\",\"ph\":\"X\""),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"dur\":1.000,\"args\":{\"payload_bytes\":8192}"),
+            std::string::npos)
+      << json;
 
   // Per-thread timestamps come out sorted (Perfetto requires it per track).
   const std::vector<CollectedEvent> events = fr.Collect();

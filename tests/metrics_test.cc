@@ -8,7 +8,6 @@
 
 #include "src/metrics/registry.h"
 #include "src/metrics/time_breakdown.h"
-#include "src/metrics/txn_trace.h"
 
 namespace plp {
 namespace {
@@ -206,38 +205,6 @@ TEST(MetricsRegistryTest, ScratchIsANullSinkThatNeverAliases) {
   scratch->counter("anything")->Increment();
   MetricsRegistry real;
   EXPECT_EQ(real.Snapshot().counter("anything"), 0u);
-}
-
-TEST(TxnTimelineTest, StampIsFirstWriterWins) {
-  TxnTimeline t;
-  TxnTimeline::Stamp(t.submit_ns, 100);
-  TxnTimeline::Stamp(t.submit_ns, 999);  // later stamps are no-ops
-  EXPECT_EQ(t.submit_ns.load(), 100u);
-}
-
-TEST(TxnTimelineTest, SinksRecordOnlyReachedStages) {
-  MetricsRegistry registry;
-  TxnTraceSinks sinks(&registry);
-  TxnTimeline t;
-  // submit -> admitted -> complete, with the middle stages never stamped
-  // (e.g. an admission-rejected or non-durable transaction).
-  TxnTimeline::Stamp(t.submit_ns, 1'000);
-  TxnTimeline::Stamp(t.admitted_ns, 5'000);
-  TxnTimeline::Stamp(t.complete_ns, 21'000);
-  sinks.Record(t);
-  const StatsSnapshot snap = registry.Snapshot();
-  const HistogramSummary* admission =
-      snap.histogram("trace.admission_us");
-  ASSERT_NE(admission, nullptr);
-  EXPECT_EQ(admission->count, 1u);
-  EXPECT_EQ(admission->max, 4u);  // (5000 - 1000) ns -> 4us
-  const HistogramSummary* total = snap.histogram("trace.total_us");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count, 1u);
-  EXPECT_EQ(total->max, 20u);
-  // Unstamped stages recorded nothing.
-  EXPECT_EQ(snap.histogram("trace.fsync_us")->count, 0u);
-  EXPECT_EQ(snap.histogram("trace.execute_us")->count, 0u);
 }
 
 TEST(StatsSnapshotTest, DeltaSinceSubtractsCounters) {

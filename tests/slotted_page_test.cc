@@ -13,11 +13,17 @@
 namespace plp {
 namespace {
 
+// A page buffer formatted on construction, so it is initialised before
+// the SlottedPage view over it is built.
+struct FormattedPage {
+  FormattedPage() { SlottedPage::Init(data); }
+  char data[kPageSize];
+};
+
 class SlottedPageTest : public ::testing::Test {
  protected:
-  SlottedPageTest() : page_(data_) { SlottedPage::Init(data_); }
-  char data_[kPageSize];
-  SlottedPage page_;
+  FormattedPage buf_;
+  SlottedPage page_{buf_.data};
 };
 
 TEST_F(SlottedPageTest, InitGivesEmptyPage) {

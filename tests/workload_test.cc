@@ -300,15 +300,23 @@ TEST(WorkloadDriverTest, RunsForDurationAndCounts) {
   TatpWorkload tatp(engine.get(), config);
   ASSERT_TRUE(tatp.Load().ok());
 
-  DriverOptions options;
-  options.num_threads = 2;
-  options.duration = std::chrono::milliseconds(200);
-  DriverResult result = RunWorkload(
-      engine.get(),
-      [&](Rng& rng) { return tatp.NextTransaction(rng); }, options);
-  EXPECT_GT(result.committed, 100u);
-  EXPECT_GT(result.ktps(), 0.0);
-  EXPECT_GT(result.cs_per_txn(), 0.0);
+  // Closed loop (depth 0) and an open-loop window share one client loop;
+  // both record one latency per committed transaction.
+  for (const int depth : {0, 8}) {
+    SCOPED_TRACE(depth);
+    DriverOptions options;
+    options.num_threads = 2;
+    options.duration = std::chrono::milliseconds(200);
+    options.pipeline_depth = depth;
+    DriverResult result = RunWorkload(
+        engine.get(),
+        [&](Rng& rng) { return tatp.NextTransaction(rng); }, options);
+    EXPECT_GT(result.committed, 100u);
+    EXPECT_EQ(result.latencies_ns.size(), result.committed);
+    EXPECT_GT(result.p50_us(), 0.0);
+    EXPECT_GT(result.ktps(), 0.0);
+    EXPECT_GT(result.cs_per_txn(), 0.0);
+  }
   engine->Stop();
 }
 

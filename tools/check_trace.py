@@ -5,7 +5,7 @@ Checks that the file is valid JSON in the Chrome trace-event format
 Perfetto loads: a traceEvents list whose entries carry name/ph/pid/tid
 (and ts for non-metadata events), with per-thread timestamps monotonic
 after the exporter's sort. Optionally asserts that specific event names
-are present (--require latch_wait,wal_fsync,txn_stage).
+are present (--require latch_wait,wal_fsync,partition_phase).
 
 Usage: check_trace.py TRACE.json [--require name1,name2,...]
 """

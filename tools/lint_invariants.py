@@ -99,7 +99,6 @@ RELAXED_ALLOW = {
     "src/metrics/flight_recorder.cc",
     "src/metrics/registry.h",
     "src/metrics/registry.cc",
-    "src/metrics/txn_trace.h",
     "src/sync/cs_profiler.cc",
     "src/sync/spinlock.h",
     # Workloads: generator statistics.
