@@ -3,7 +3,7 @@
 // Normal (single-rooted) vs MRBT primary index. Single-rooted ARIES/KVL
 // trees allow one SMO at a time, so SMO waiting grows with the insert
 // rate; MRBTrees parallelize SMOs across sub-trees.
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/metrics/time_breakdown.h"
 #include "src/workload/microbench.h"
 
@@ -27,7 +27,7 @@ void Run() {
       if (!micro.Load().ok()) continue;
       DriverOptions options;
       options.num_threads = 4;
-      options.duration = bench::WindowMs();
+      options.duration = bench::kWindow;
       DriverResult r = RunWorkload(
           engine.get(), [&](Rng& rng) { return micro.NextTransaction(rng); },
           options);
@@ -39,10 +39,6 @@ void Run() {
       engine->Stop();
     }
   }
-  std::printf(
-      "\nExpected shape: smo-wait + idx-wait grow with the insert rate for\n"
-      "Normal; MRBT flattens them (paper: up to 25%% better at high insert\n"
-      "rates thanks to parallel SMOs).\n");
 }
 
 }  // namespace

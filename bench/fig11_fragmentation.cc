@@ -5,7 +5,7 @@
 // measured point printed at the bottom).
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/buffer/buffer_pool.h"
 #include "src/storage/fragmentation_model.h"
 #include "src/storage/heap_file.h"
@@ -56,10 +56,6 @@ void Run() {
               shared.num_pages(),
               static_cast<double>(part.num_pages()) / base,
               static_cast<double>(leaf.num_pages()) / base);
-  std::printf(
-      "\nExpected shape: PLP-Regular == 1.0 everywhere; PLP-Partition\n"
-      "overhead vanishes as the database grows; PLP-Leaf pays the largest\n"
-      "overhead for small records and much less for 1000B records.\n");
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // substitution for the paper's disk subsystem.
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/buffer/buffer_pool.h"
 #include "src/common/clock.h"
 #include "src/storage/fragmentation_model.h"
@@ -65,9 +65,6 @@ void Run() {
                 ScanCost(c.plp_partition, t) / base_cost,
                 ScanCost(c.plp_leaf, t) / base_cost);
   }
-  std::printf(
-      "\nExpected shape: all designs ~1.0 while resident (1MB-1GB); at\n"
-      "10GB PLP-Leaf pays ~1.6x from extra I/O (paper: +60%%).\n");
 }
 
 }  // namespace

@@ -1,56 +1,60 @@
-// Figure 1: breakdown of critical sections per transaction when running
-// the TATP mix, across Baseline (no SLI), SLI, Logical-only, PLP and
-// PLP-Leaf. The paper's shape: locking dominates the baseline; SLI trims
-// the lock manager; logical partitioning removes locking but keeps page
-// latching; the PLP designs remove latching too, leaving message passing,
-// transaction management and small metadata components.
-#include "bench/bench_common.h"
-#include "src/workload/tatp.h"
+// Figures 1 and 3: critical sections per transaction when running the
+// TATP mix, across Baseline (no SLI), SLI, Logical-only, PLP and PLP-Leaf
+// (Figure 1), and the page latches among them by page type (Figure 3).
+// One fixed-count run per design prints both tables; the paper's claims
+// on these numbers are asserted in tests/paper_shape_test.cc.
+#include "bench/paper_shape.h"
 
 namespace plp {
 namespace {
 
-struct Variant {
-  const char* label;
-  SystemDesign design;
-  bool enable_sli;
-};
-
 void Run() {
+  constexpr int kNumVariants = std::size(bench::kFig1Variants);
+  bench::CountRun runs[kNumVariants];
+  for (int i = 0; i < kNumVariants; ++i) {
+    runs[i] = bench::MeasureCounts(bench::kFig1Variants[i],
+                                   bench::CountWorkload::kTatp,
+                                   bench::kCountTxns);
+  }
+
   bench::PrintHeader("Critical sections per transaction, TATP mix",
                      "Figure 1");
-  const Variant variants[] = {
-      {"Baseline", SystemDesign::kConventional, false},
-      {"SLI", SystemDesign::kConventional, true},
-      {"Logical-only", SystemDesign::kLogical, true},
-      {"PLP", SystemDesign::kPlpRegular, true},
-      {"PLP-Leaf", SystemDesign::kPlpLeaf, true},
-  };
-  bench::PrintCsBreakdownHeader();
-  for (const Variant& v : variants) {
-    auto engine = bench::MakeEngine(v.design, 4, false, v.enable_sli);
-    TatpConfig config;
-    config.subscribers = 5000;
-    config.partitions = 4;
-    TatpWorkload tatp(engine.get(), config);
-    Status st = tatp.Load();
-    if (!st.ok()) {
-      std::printf("%s: load failed: %s\n", v.label, st.ToString().c_str());
-      continue;
-    }
-    DriverOptions options;
-    options.num_threads = 4;
-    options.duration = bench::WindowMs();
-    DriverResult result = RunWorkload(
-        engine.get(), [&](Rng& rng) { return tatp.NextTransaction(rng); },
-        options);
-    bench::PrintCsBreakdownRow(v.label, result.cs_delta, result.committed);
-    engine->Stop();
+  std::printf("%-16s", "design");
+  for (int c = 0; c < kNumCsCategories; ++c) {
+    std::printf(" %9.9s", CsCategoryName(static_cast<CsCategory>(c)));
   }
-  std::printf(
-      "\nExpected shape: Lock mgr dominates Baseline; SLI reduces it;\n"
-      "Logical/PLP eliminate it (message passing appears instead); the PLP\n"
-      "rows additionally eliminate nearly all Page Latches.\n");
+  std::printf(" |   (CS entries per transaction)\n");
+  for (int i = 0; i < kNumVariants; ++i) {
+    const bench::CountRun& r = runs[i];
+    std::printf("%-16s", bench::kFig1Variants[i].label);
+    for (int c = 0; c < kNumCsCategories; ++c) {
+      std::printf(" %9.2f", r.Entries(static_cast<CsCategory>(c)));
+    }
+    std::printf(" | total %9.2f contended %7.2f\n",
+                r.PerTxn(r.cs.TotalEntries()),
+                r.PerTxn(r.cs.TotalContended()));
+  }
+
+  bench::PrintHeader("Page latches per transaction by design, TATP",
+                     "Figure 3");
+  std::printf("%-12s %10s %10s %14s %10s\n", "design", "INDEX", "HEAP",
+              "CATALOG/SPACE", "total");
+  // Figure 3 compares the four designs; its Conv. is the SLI system
+  // (Baseline latches the same pages).
+  const double conventional = runs[1].TotalLatches();
+  for (int i = 1; i < kNumVariants; ++i) {
+    const bench::CountRun& r = runs[i];
+    std::printf("%-12s %10.2f %10.2f %14.2f %10.2f",
+                SystemDesignName(bench::kFig1Variants[i].design),
+                r.Latches(PageClass::kIndex), r.Latches(PageClass::kHeap),
+                r.Latches(PageClass::kCatalog), r.TotalLatches());
+    if (i == 1) {
+      std::printf("\n");
+    } else {
+      std::printf("   (%.1f%% of Conv.)\n",
+                  100.0 * r.TotalLatches() / conventional);
+    }
+  }
 }
 
 }  // namespace

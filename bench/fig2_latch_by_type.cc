@@ -1,24 +1,23 @@
 // Figure 2: page-latch breakdown by page type (index / heap / catalog)
-// for TATP, TPC-B and TPC-C running on the conventional system. The
-// paper's shape: 60-80% of latches land on index pages, nearly all the
-// rest on heap pages.
-#include "bench/bench_common.h"
-#include "src/workload/tatp.h"
-#include "src/workload/tpcb.h"
-#include "src/workload/tpcc.h"
+// for TATP, TPC-B and TPC-C running on the conventional system, from
+// fixed-count runs. The paper puts 60-80% of the latches on index pages;
+// tests/paper_shape_test.cc records what this tree reproduces.
+#include "bench/paper_shape.h"
 
 namespace plp {
 namespace {
 
-void PrintRow(const char* label, const DriverResult& r) {
-  const double total = static_cast<double>(r.cs_delta.TotalLatches());
-  if (total == 0 || r.committed == 0) return;
+void PrintRow(const char* label, bench::CountWorkload workload) {
+  const bench::CountRun r = bench::MeasureCounts(
+      {"Conv.", SystemDesign::kConventional}, workload, bench::kCountTxns);
+  const double total = static_cast<double>(r.cs.TotalLatches());
+  if (total == 0) return;
   std::printf("%-8s", label);
   for (int c = 0; c < kNumPageClasses; ++c) {
-    const double n = static_cast<double>(r.cs_delta.latches[c]);
-    std::printf("  %-13s %6.1f%% (%7.2f/txn)",
-                PageClassName(static_cast<PageClass>(c)), 100.0 * n / total,
-                n / static_cast<double>(r.committed));
+    const auto page_class = static_cast<PageClass>(c);
+    std::printf("  %-13s %6.1f%% (%7.2f/txn)", PageClassName(page_class),
+                100.0 * static_cast<double>(r.cs.latches[c]) / total,
+                r.Latches(page_class));
   }
   std::printf("\n");
 }
@@ -26,59 +25,9 @@ void PrintRow(const char* label, const DriverResult& r) {
 void Run() {
   bench::PrintHeader("Page latches by page type, conventional system",
                      "Figure 2");
-  DriverOptions options;
-  options.num_threads = 4;
-  options.duration = bench::WindowMs();
-
-  {
-    auto engine = bench::MakeEngine(SystemDesign::kConventional);
-    TatpConfig config;
-    config.subscribers = 5000;
-    config.partitions = 4;
-    TatpWorkload tatp(engine.get(), config);
-    if (tatp.Load().ok()) {
-      DriverResult r = RunWorkload(
-          engine.get(), [&](Rng& rng) { return tatp.NextTransaction(rng); },
-          options);
-      PrintRow("TATP", r);
-    }
-    engine->Stop();
-  }
-  {
-    auto engine = bench::MakeEngine(SystemDesign::kConventional);
-    TpcbConfig config;
-    config.branches = 16;
-    config.tellers_per_branch = 10;
-    config.accounts_per_branch = 500;
-    config.partitions = 4;
-    TpcbWorkload tpcb(engine.get(), config);
-    if (tpcb.Load().ok()) {
-      DriverResult r = RunWorkload(
-          engine.get(), [&](Rng& rng) { return tpcb.NextTransaction(rng); },
-          options);
-      PrintRow("TPC-B", r);
-    }
-    engine->Stop();
-  }
-  {
-    auto engine = bench::MakeEngine(SystemDesign::kConventional);
-    TpccConfig config;
-    config.warehouses = 4;
-    config.items = 500;
-    config.customers_per_district = 50;
-    config.partitions = 4;
-    TpccWorkload tpcc(engine.get(), config);
-    if (tpcc.Load().ok()) {
-      DriverResult r = RunWorkload(
-          engine.get(), [&](Rng& rng) { return tpcc.NextTransaction(rng); },
-          options);
-      PrintRow("TPC-C", r);
-    }
-    engine->Stop();
-  }
-  std::printf(
-      "\nExpected shape: INDEX pages take the majority of latches\n"
-      "(paper: 60-80%%), HEAP pages most of the remainder.\n");
+  PrintRow("TATP", bench::CountWorkload::kTatp);
+  PrintRow("TPC-B", bench::CountWorkload::kTpcb);
+  PrintRow("TPC-C", bench::CountWorkload::kTpcc);
 }
 
 }  // namespace

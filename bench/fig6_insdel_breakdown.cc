@@ -1,8 +1,9 @@
 // Figure 6: time breakdown per transaction for an insert/delete-heavy
 // workload on the TATP CALL_FORWARDING table. Splits cause SMOs and
 // index-latch contention in the conventional and logical designs; PLP
-// eliminates both the latch waits and the SMO serialization.
-#include "bench/bench_common.h"
+// eliminates both the latch waits and the SMO serialization (no index
+// latch and no SMO-mutex entry on the PLP rows: tests/paper_shape_test.cc).
+#include "bench/paper_shape.h"
 #include "src/metrics/time_breakdown.h"
 #include "src/workload/tatp.h"
 
@@ -30,33 +31,24 @@ void Run() {
       if (!tatp.Load().ok()) continue;
       DriverOptions options;
       options.num_threads = threads;
-      options.duration = bench::WindowMs();
+      options.duration = bench::kWindow;
       DriverResult r = RunWorkload(
           engine.get(),
           [&](Rng& rng) { return tatp.NextInsertDeleteHeavy(rng); },
           options);
       TimeBreakdown b =
           MakeTimeBreakdown(r.cs_delta, r.committed, r.thread_time_ns);
-      const double inv = 1.0 / static_cast<double>(r.committed);
+      const bench::CountRun counts{r.committed, r.cs_delta};
       std::printf(
-          "%s | idx-latch/txn %6.2f (contended %5.3f) smo %5.3f/txn\n",
+          "%s | idx-latch/txn %6.2f (contended %5.3f) smo-mutex %5.3f/txn\n",
           FormatBreakdownRow(SystemDesignName(design), b).c_str(),
-          static_cast<double>(
-              r.cs_delta.latches[static_cast<int>(PageClass::kIndex)]) *
-              inv,
-          static_cast<double>(r.cs_delta.latches_contended[static_cast<int>(
-              PageClass::kIndex)]) *
-              inv,
-          static_cast<double>(
-              r.cs_delta.contended[static_cast<int>(CsCategory::kPageLatch)]) *
-              inv);
+          counts.Latches(PageClass::kIndex),
+          counts.PerTxn(r.cs_delta.latches_contended[static_cast<int>(
+              PageClass::kIndex)]),
+          counts.SmoMutex());
       engine->Stop();
     }
   }
-  std::printf(
-      "\nExpected shape: Conv./Logical spend 15-20%% of their time in\n"
-      "idx-wait + smo-wait at high thread counts; the PLP rows show zero\n"
-      "index latch waits.\n");
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // records, so hot branch/teller rows share heap pages. Conventional,
 // Logical and PLP-Regular suffer heap-latch waits on those pages
 // (false sharing); PLP-Leaf is immune because each heap page belongs to
-// exactly one leaf/partition.
-#include "bench/bench_common.h"
+// exactly one leaf/partition (it takes no heap latch at all:
+// tests/paper_shape_test.cc). Conventional's transactions also queue on
+// the hot branch and teller record locks (the lock-wait column).
+#include "bench/paper_shape.h"
 #include "src/metrics/time_breakdown.h"
 #include "src/workload/tpcb.h"
 
@@ -34,7 +36,7 @@ void Run() {
       if (!tpcb.Load().ok()) continue;
       DriverOptions options;
       options.num_threads = threads;
-      options.duration = bench::WindowMs();
+      options.duration = bench::kWindow;
       DriverResult r = RunWorkload(
           engine.get(), [&](Rng& rng) { return tpcb.NextTransaction(rng); },
           options);
@@ -64,10 +66,6 @@ void Run() {
       engine->Stop();
     }
   }
-  std::printf(
-      "\nExpected shape: heap-wait grows with threads for Conv./Logical/\n"
-      "PLP-Reg (paper: >50%% of execution time at high utilization);\n"
-      "PLP-Leaf shows zero heap-latch waiting.\n");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // partitions. The dip during repartitioning measures the cost: none for
 // Conventional (no partitions), routing-only for Logical, metadata-only
 // for PLP-Regular/PLP-Leaf, heap reorganization for PLP-Partition.
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/workload/microbench.h"
 
 namespace plp {
@@ -56,10 +56,7 @@ void Run() {
   }
   std::printf(
       "\n(one column per 100ms window; skew flips at t=1.0s, repartition\n"
-      "triggers at t=1.2s)\n"
-      "Expected shape: Conv./Logical stay flat; PLP-Reg and PLP-Leaf show\n"
-      "a small dip at the repartition point; PLP-Partition dips hardest\n"
-      "while it reorganizes heap pages.\n");
+      "triggers at t=1.2s)\n");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // logically-partitioned systems with and without MRBTree indexes. The
 // multi-rooted form removes one index level and the root hotspot,
 // buying ~10% in the paper.
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/workload/tatp.h"
 
 namespace plp {
@@ -24,7 +24,7 @@ void Run() {
       if (!tatp.Load().ok()) continue;
       DriverOptions options;
       options.num_threads = 4;
-      options.duration = bench::WindowMs();
+      options.duration = bench::kWindow;
       DriverResult r = RunWorkload(
           engine.get(), [&](Rng& rng) { return tatp.NextTransaction(rng); },
           options);
@@ -35,9 +35,6 @@ void Run() {
                 ktps[0], ktps[1],
                 ktps[0] > 0 ? 100.0 * (ktps[1] - ktps[0]) / ktps[0] : 0.0);
   }
-  std::printf(
-      "\nExpected shape: MRBT wins on both systems (paper: ~10%%, from\n"
-      "one-level-shallower probes and reduced root contention).\n");
 }
 
 }  // namespace

@@ -2,15 +2,12 @@
 // 100B records in half (height-3 index, 170 x 32B entries per node).
 // Rows come from the Appendix C cost model; below them, a *measured*
 // MRBTree slice on a real (smaller) tree confirms the PLP claim that a
-// split moves only the boundary path.
+// split moves only the boundary path (asserted in
+// tests/paper_shape_test.cc; the cost-model rows in cost_model_test).
 #include <cstdio>
 
-#include "bench/bench_common.h"
-#include "src/buffer/buffer_pool.h"
-#include "src/common/clock.h"
-#include "src/common/key_encoding.h"
+#include "bench/paper_shape.h"
 #include "src/engine/cost_model.h"
-#include "src/index/mrbtree.h"
 
 namespace plp {
 namespace {
@@ -34,26 +31,11 @@ void Run() {
   }
 
   // Measured slice on a real MRBTree: 200k entries, split in half.
-  BufferPool pool;
-  std::unique_ptr<MRBTree> tree;
-  (void)MRBTree::Create(&pool, LatchPolicy::kNone, {""}, &tree);
-  const std::string rid(6, 'r');
-  for (std::uint32_t k = 0; k < 200000; ++k) {
-    (void)tree->Insert(KeyU32(k), rid);
-  }
-  const std::size_t pages_before = pool.num_pages();
-  const std::uint64_t t0 = NowNanos();
-  (void)tree->Split(KeyU32(100000));
-  const std::uint64_t t1 = NowNanos();
+  const bench::SliceRun slice = bench::MeasureSlice();
   std::printf(
       "\nMeasured MRBTree slice (200k entries split in half): %.2f ms,\n"
       "%zu new pages allocated (boundary path only, tree height %d)\n",
-      NanosToMillis(t1 - t0), pool.num_pages() - pages_before,
-      tree->subtree(0)->height() + 1);
-  std::printf(
-      "\nExpected shape: PLP-Regular/-Leaf move KBs; PLP-Partition and\n"
-      "Shared-Nothing move the full 233MB; only Shared-Nothing needs\n"
-      "millions of index inserts+deletes.\n");
+      slice.ms, slice.new_pages, slice.height);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // explode with tree height while PLP-Regular/PLP-Leaf stay flat.
 #include <cstdio>
 
-#include "bench/bench_common.h"
+#include "bench/paper_shape.h"
 #include "src/engine/cost_model.h"
 
 namespace plp {
@@ -32,10 +32,6 @@ void Run() {
   PrintFor(3);
   std::printf("\n");
   PrintFor(4);
-  std::printf(
-      "\nExpected shape: records moved by PLP-Partition/Shared-Nothing\n"
-      "scale with n^(h-1) (prohibitive at height 4: ~412M records);\n"
-      "PLP-Regular moves none and PLP-Leaf a single leaf's worth.\n");
 }
 
 }  // namespace

@@ -151,10 +151,10 @@ class Engine {
     return FlightRecorder::Global().ExportChromeTrace(path);
   }
 
-  /// Admission-gate observability (open-loop drivers report these).
+  /// Admission-gate observability: current depth and its high-water mark
+  /// since the engine was built (also the admission.* gauges).
   std::size_t inflight() const { return gate_.inflight(); }
   std::size_t peak_inflight() const { return gate_.peak(); }
-  void ResetPeakInflight() { gate_.ResetPeak(); }
   /// The admission.rejected counter (zeroed by MetricsRegistry::Reset).
   std::uint64_t submissions_rejected() const {
     return rejected_metric_->value();

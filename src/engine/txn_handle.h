@@ -158,10 +158,6 @@ class AdmissionGate {
     MutexLock g(mu_);
     return peak_;
   }
-  void ResetPeak() {
-    MutexLock g(mu_);
-    peak_ = inflight_;
-  }
 
   /// Wires the admission metrics (admission.admitted / rejected / blocked
   /// counters and the admission.wait_us histogram). Called once from the

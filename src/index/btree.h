@@ -10,8 +10,8 @@
 // thread, so every latch acquisition and the SMO mutex are skipped, and
 // page fixes bypass the buffer-pool critical section.
 //
-// Persistence: with an IndexLogger attached (durable databases in
-// kLoggedPages mode) every page visited by a mutation is PINNED for the
+// Persistence: with an IndexLogger attached (every table of a durable
+// database) every page visited by a mutation is PINNED for the
 // duration of the operation and every mutation appends a physiological
 // WAL record before the pin is released (latch-coupled logging — see
 // src/index/persistent/index_log.h). Index pages are then evictable like

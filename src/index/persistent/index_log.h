@@ -1,7 +1,7 @@
 // Physiological WAL logging for persistent B+Tree pages.
 //
 // An IndexLogger is attached to every BTree/MRBTree of a durable table
-// (DatabaseConfig::index_durability == kLoggedPages). Index nodes then
+// (one whose database has a DatabaseConfig::data_dir). Index nodes then
 // behave like heap pages: every mutation appends a WAL record that stamps
 // the frame's page LSN (WAL-rule steal barrier + fuzzy-checkpoint rec_lsn),
 // so index pages can be evicted and read back, and restart recovery redoes

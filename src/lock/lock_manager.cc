@@ -73,6 +73,7 @@ Status LockManager::Acquire(TxnId txn, const std::string& name, LockMode mode,
     bucket.locks[name].waiters--;
     const std::uint64_t waited_ns = NowNanos() - wait_start;
     wait_us_metric_->Record(waited_ns / 1000);
+    CsProfiler::RecordWait(CsCategory::kLockMgr, waited_ns);
     {
       TraceSiteScope site(TraceSite::kLockTable);
       FlightRecorder::Emit(TraceEventType::kLockWait, wait_start, waited_ns,

@@ -336,6 +336,11 @@ void CsProfiler::Record(CsCategory category, bool contended,
   }
 }
 
+void CsProfiler::RecordWait(CsCategory category, std::uint64_t wait_ns) {
+  if (!g_enabled.load(std::memory_order_relaxed)) return;
+  Bump(Local().counts.wait_ns[static_cast<int>(category)], wait_ns);
+}
+
 void CsProfiler::RecordLatch(PageClass page_class, bool contended,
                              std::uint64_t wait_ns) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;

@@ -160,6 +160,11 @@ class CsProfiler {
   static void Record(CsCategory category, bool contended,
                      std::uint64_t wait_ns = 0);
 
+  /// Charges `wait_ns` of blocking that is not a critical-section entry
+  /// (a lock-conflict wait on the lock manager's condition variable) to
+  /// `category`'s wait time; entries and contended counts stay unchanged.
+  static void RecordWait(CsCategory category, std::uint64_t wait_ns);
+
   /// Records a page-latch acquisition (also counts as a kPageLatch entry);
   /// a contended one is charged like Record's and emitted as kLatchWait.
   static void RecordLatch(PageClass page_class, bool contended,

@@ -25,7 +25,6 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
 
   DriverResult result;
   const CsCounts before = CsProfiler::Global().Collect();
-  engine->ResetPeakInflight();
   const std::uint64_t t0 = NowNanos();
   std::uint64_t last_sample_ns = t0;
   std::uint64_t last_committed = 0;
@@ -44,35 +43,28 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   };
 
   std::vector<std::thread> clients;
-  std::vector<std::vector<std::uint64_t>> latencies(
-      static_cast<std::size_t>(options.num_threads));
   clients.reserve(static_cast<std::size_t>(options.num_threads));
   for (int i = 0; i < options.num_threads; ++i) {
     clients.emplace_back([&, i] {
       Rng rng(options.seed * 1315423911u + static_cast<std::uint64_t>(i));
-      auto& local_latencies = latencies[static_cast<std::size_t>(i)];
       const std::uint64_t start = NowNanos();
       // Keep up to `depth` transactions in flight, reaping the oldest
       // handle whenever the window is full (and draining the window at the
       // end of the run). Depth 1 is the closed loop: submit, then wait.
       const auto depth =
           static_cast<std::size_t>(std::max(1, options.pipeline_depth));
-      std::deque<std::pair<TxnHandle, std::uint64_t>> window;
+      std::deque<TxnHandle> window;
       auto reap_front = [&] {
-        auto [handle, txn_start] = std::move(window.front());
+        TxnHandle handle = std::move(window.front());
         window.pop_front();
-        const Status st = handle.Wait();
-        if (st.ok()) {
-          local_latencies.push_back(NowNanos() - txn_start);
+        if (handle.Wait().ok()) {
           committed.fetch_add(1, std::memory_order_relaxed);
         } else {
           aborted.fetch_add(1, std::memory_order_relaxed);
         }
       };
       while (!stop.load(std::memory_order_relaxed)) {
-        TxnRequest req = next(rng);
-        const std::uint64_t txn_start = NowNanos();
-        window.emplace_back(engine->Submit(std::move(req)), txn_start);
+        window.push_back(engine->Submit(next(rng)));
         if (window.size() >= depth) reap_front();
       }
       while (!window.empty()) reap_front();
@@ -109,14 +101,7 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
   result.committed = committed.load();
   result.aborted = aborted.load();
   result.thread_time_ns = thread_time.load();
-  result.peak_inflight = engine->peak_inflight();
   result.cs_delta = CsProfiler::Global().Collect() - before;
-  for (auto& local_latencies : latencies) {
-    result.latencies_ns.insert(result.latencies_ns.end(),
-                               local_latencies.begin(),
-                               local_latencies.end());
-  }
-  std::sort(result.latencies_ns.begin(), result.latencies_ns.end());
   if (const char* trace_path = std::getenv("PLP_TRACE_PATH")) {
     const Status st = engine->DumpTrace(trace_path);
     if (st.ok()) {

@@ -30,14 +30,7 @@ struct DriverResult {
   std::uint64_t aborted = 0;
   std::uint64_t elapsed_ns = 0;       // wall time of the window
   std::uint64_t thread_time_ns = 0;   // summed across client threads
-  /// Engine-wide admission-gate high-water mark over the window (how many
-  /// transactions were concurrently in flight).
-  std::uint64_t peak_inflight = 0;
   CsCounts cs_delta;                  // profiler delta over the window
-  /// Per-transaction latencies (ns), sorted ascending: submit to
-  /// completion (in the open loop, including time queued behind the
-  /// pipeline window).
-  std::vector<std::uint64_t> latencies_ns;
 
   /// One throughput window, counted from the driver's own commit tally.
   struct Sample {
@@ -50,16 +43,6 @@ struct DriverResult {
   /// so the windows' commits sum to `committed`.
   std::vector<Sample> samples;
 
-  /// Latency percentile in microseconds (q in [0,1]); 0 when no samples.
-  double latency_us(double q) const {
-    if (latencies_ns.empty()) return 0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(latencies_ns.size() - 1));
-    return static_cast<double>(latencies_ns[idx]) / 1000.0;
-  }
-  double p50_us() const { return latency_us(0.50); }
-  double p99_us() const { return latency_us(0.99); }
-
   double ktps() const {
     return elapsed_ns == 0
                ? 0
@@ -69,11 +52,6 @@ struct DriverResult {
   double cs_per_txn() const {
     return committed == 0 ? 0
                           : static_cast<double>(cs_delta.TotalEntries()) /
-                                static_cast<double>(committed);
-  }
-  double contended_cs_per_txn() const {
-    return committed == 0 ? 0
-                          : static_cast<double>(cs_delta.TotalContended()) /
                                 static_cast<double>(committed);
   }
   double latches_per_txn() const {

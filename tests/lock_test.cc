@@ -150,6 +150,24 @@ TEST(LockManagerTest, AcquisitionsRecordLockMgrCs) {
   EXPECT_EQ(counts.entries[static_cast<int>(CsCategory::kLockMgr)], 2u);
 }
 
+// A lock-conflict wait is charged to the lock manager's wait time (the
+// lock-wait column of Figures 6, 7 and 10) but is not a critical-section
+// entry: the blocked Acquire counts the one bucket entry any Acquire does.
+TEST(LockManagerTest, ConflictWaitChargesLockMgrWaitNotEntries) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, "a", LockMode::kX).ok());
+  const auto lock_mgr = static_cast<int>(CsCategory::kLockMgr);
+  const CsCounts before = CsProfiler::Global().Collect();
+  EXPECT_TRUE(
+      lm.Acquire(2, "a", LockMode::kX, std::chrono::milliseconds(30))
+          .IsTimedOut());
+  const CsCounts delta = CsProfiler::Global().Collect() - before;
+  EXPECT_EQ(delta.entries[lock_mgr], 1u);
+  EXPECT_EQ(delta.contended[lock_mgr], 0u);
+  EXPECT_GE(delta.wait_ns[lock_mgr], 30'000'000u);
+  lm.Release(1, "a");
+}
+
 TEST(LockManagerTest, HasWaitersDetection) {
   LockManager lm;
   ASSERT_TRUE(lm.Acquire(1, "a", LockMode::kX).ok());
