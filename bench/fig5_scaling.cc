@@ -1,9 +1,10 @@
 // Figure 5: throughput of the read-only TATP GetSubscriberData
 // transaction as the client count grows, for Conventional, Logical and
 // PLP. The paper's determinant of the scaling curve — unscalable critical
-// sections per transaction (right columns) — is asserted, ordered
-// PLP < Logical < Conventional, in tests/paper_shape_test.cc; the Ktps
-// columns depend on the host's hardware contexts.
+// sections per transaction (right columns, from the fixed-count run of
+// bench/paper_shape.h) — is asserted, ordered PLP < Logical <
+// Conventional, in tests/paper_shape_test.cc; the Ktps columns depend on
+// the host's hardware contexts.
 #include "bench/paper_shape.h"
 
 namespace plp {
@@ -25,13 +26,9 @@ void Run() {
     // closed-loop concurrency below the paper's baseline.
     auto engine = bench::MakeEngine(
         design, design == SystemDesign::kConventional ? 8 : 4);
-    TatpConfig config;
-    config.subscribers = 10000;
-    config.partitions = 4;
-    TatpWorkload tatp(engine.get(), config);
-    if (!tatp.Load().ok()) continue;
+    TatpWorkload tatp(engine.get(), bench::CountTatpConfig());
+    bench::MustLoad(tatp.Load(), "TATP");
     std::printf("%-12s", SystemDesignName(design));
-    bench::CountRun last;
     for (int threads : thread_counts) {
       DriverOptions options;
       options.num_threads = threads;
@@ -44,11 +41,14 @@ void Run() {
           options);
       std::printf(" %10.1f", r.ktps());
       std::fflush(stdout);
-      last = {r.committed, r.cs_delta};
     }
-    std::printf("  | %17.2f %12.2f\n", last.Unscalable(),
-                last.TotalLatches());
     engine->Stop();
+    const bench::CountRun counts =
+        bench::MeasureCounts({SystemDesignName(design), design},
+                             bench::CountWorkload::kTatpGetSubscriber,
+                             bench::kCountTxns);
+    std::printf("  | %17.2f %12.2f\n", counts.Unscalable(),
+                counts.TotalLatches());
   }
 }
 

@@ -10,25 +10,33 @@
 namespace plp {
 namespace {
 
+constexpr SystemDesign kDesigns[] = {
+    SystemDesign::kConventional, SystemDesign::kLogical,
+    SystemDesign::kPlpRegular, SystemDesign::kPlpLeaf};
+
 void Run() {
   bench::PrintHeader(
       "Time breakdown per txn, insert/delete-heavy CallFwd workload",
       "Figure 6");
+  std::printf("--- counts per txn (fixed-count run) ---\n");
+  for (SystemDesign design : kDesigns) {
+    const bench::CountRun counts = bench::MeasureCounts(
+        {SystemDesignName(design), design},
+        bench::CountWorkload::kTatpInsertDelete, bench::kCountTxns);
+    std::printf("%-12s idx-latch %6.2f  smo-mutex %5.3f\n",
+                SystemDesignName(design), counts.Latches(PageClass::kIndex),
+                counts.SmoMutex());
+  }
   for (int threads : {2, 4, 8}) {
     std::printf("--- %d client threads ---\n", threads);
-    for (SystemDesign design :
-         {SystemDesign::kConventional, SystemDesign::kLogical,
-          SystemDesign::kPlpRegular, SystemDesign::kPlpLeaf}) {
+    for (SystemDesign design : kDesigns) {
       // Conventional is thread-per-transaction: size its submission pool
       // to the widest client sweep so it never caps closed-loop
       // concurrency below the paper's baseline.
       auto engine = bench::MakeEngine(
           design, design == SystemDesign::kConventional ? 8 : 4);
-      TatpConfig config;
-      config.subscribers = 5000;
-      config.partitions = 4;
-      TatpWorkload tatp(engine.get(), config);
-      if (!tatp.Load().ok()) continue;
+      TatpWorkload tatp(engine.get(), bench::CountTatpConfig());
+      bench::MustLoad(tatp.Load(), "TATP");
       DriverOptions options;
       options.num_threads = threads;
       options.duration = bench::kWindow;
@@ -38,14 +46,8 @@ void Run() {
           options);
       TimeBreakdown b =
           MakeTimeBreakdown(r.cs_delta, r.committed, r.thread_time_ns);
-      const bench::CountRun counts{r.committed, r.cs_delta};
-      std::printf(
-          "%s | idx-latch/txn %6.2f (contended %5.3f) smo-mutex %5.3f/txn\n",
-          FormatBreakdownRow(SystemDesignName(design), b).c_str(),
-          counts.Latches(PageClass::kIndex),
-          counts.PerTxn(r.cs_delta.latches_contended[static_cast<int>(
-              PageClass::kIndex)]),
-          counts.SmoMutex());
+      std::printf("%s\n",
+                  FormatBreakdownRow(SystemDesignName(design), b).c_str());
       engine->Stop();
     }
   }

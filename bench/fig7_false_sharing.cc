@@ -12,28 +12,33 @@
 namespace plp {
 namespace {
 
+constexpr SystemDesign kDesigns[] = {
+    SystemDesign::kConventional, SystemDesign::kLogical,
+    SystemDesign::kPlpRegular, SystemDesign::kPlpLeaf};
+
 void Run() {
   bench::PrintHeader(
       "Time breakdown per txn, TPC-B with heap-page false sharing",
       "Figure 7");
+  std::printf("--- counts per txn (fixed-count run) ---\n");
+  for (SystemDesign design : kDesigns) {
+    const bench::CountRun counts =
+        bench::MeasureCounts({SystemDesignName(design), design},
+                             bench::CountWorkload::kTpcb, bench::kCountTxns);
+    std::printf("%-12s heap-latch %6.2f\n", SystemDesignName(design),
+                counts.Latches(PageClass::kHeap));
+  }
   for (int threads : {2, 4, 8}) {
     std::printf("--- %d client threads ---\n", threads);
-    for (SystemDesign design :
-         {SystemDesign::kConventional, SystemDesign::kLogical,
-          SystemDesign::kPlpRegular, SystemDesign::kPlpLeaf}) {
+    for (SystemDesign design : kDesigns) {
       // Conventional is thread-per-transaction: size its submission pool
       // to the widest client sweep so it never caps closed-loop
       // concurrency below the paper's baseline.
       auto engine = bench::MakeEngine(
           design, design == SystemDesign::kConventional ? 8 : 4);
-      TpcbConfig config;
-      config.branches = 16;
-      config.tellers_per_branch = 10;
-      config.accounts_per_branch = 500;
-      config.partitions = 4;
-      config.pad_records = false;  // the experiment's point
+      const TpcbConfig config = bench::CountTpcbConfig();
       TpcbWorkload tpcb(engine.get(), config);
-      if (!tpcb.Load().ok()) continue;
+      bench::MustLoad(tpcb.Load(), "TPC-B");
       DriverOptions options;
       options.num_threads = threads;
       options.duration = bench::kWindow;
@@ -42,16 +47,8 @@ void Run() {
           options);
       TimeBreakdown b =
           MakeTimeBreakdown(r.cs_delta, r.committed, r.thread_time_ns);
-      const double inv = 1.0 / static_cast<double>(r.committed);
-      std::printf(
-          "%s | heap-latch/txn %6.2f (contended %5.3f)\n",
-          FormatBreakdownRow(SystemDesignName(design), b).c_str(),
-          static_cast<double>(
-              r.cs_delta.latches[static_cast<int>(PageClass::kHeap)]) *
-              inv,
-          static_cast<double>(r.cs_delta.latches_contended[static_cast<int>(
-              PageClass::kHeap)]) *
-              inv);
+      std::printf("%s\n",
+                  FormatBreakdownRow(SystemDesignName(design), b).c_str());
       // Structural false sharing: how few pages hold all the hot rows.
       if (design == SystemDesign::kConventional) {
         Table* branch = engine->db().GetTable(TpcbWorkload::kBranch);

@@ -4,10 +4,11 @@
 // MeasureCounts() loads a workload on one design and runs a fixed number
 // of seeded transactions through Engine::Execute from a single client, so
 // its critical-section counts depend neither on a timed window nor on the
-// number of clients the host can run at once. The fig1/fig2 programs print their tables from it
-// and tests/paper_shape_test.cc asserts the paper's claims on the same
-// numbers. The timing figures (5-7, 9, 10) measure one fixed window,
-// kWindow, per row.
+// number of clients the host can run at once. Every count column of the
+// figure programs (Figures 1-3 and 5-7) is printed from it, Table 1's
+// slice from MeasureSlice(), and tests/paper_shape_test.cc asserts the
+// paper's claims on the same numbers. The timing columns (Ktps, time
+// breakdowns; Figures 5-10) measure one fixed window, kWindow, per row.
 #ifndef PLP_PAPER_SHAPE_H_
 #define PLP_PAPER_SHAPE_H_
 
@@ -122,55 +123,77 @@ struct CountRun {
   }
 };
 
+/// Databases of the count experiments; the timing figures load the same
+/// ones, so their time rows and count rows describe one database.
+inline TatpConfig CountTatpConfig() {
+  TatpConfig config;
+  config.subscribers = 5000;
+  config.partitions = 4;
+  return config;
+}
+
+inline TpcbConfig CountTpcbConfig() {
+  TpcbConfig config;
+  config.branches = 16;
+  config.tellers_per_branch = 10;
+  config.accounts_per_branch = 500;
+  config.partitions = 4;
+  config.pad_records = false;  // hot rows share heap pages (Figure 7)
+  return config;
+}
+
+inline TpccConfig CountTpccConfig() {
+  TpccConfig config;
+  config.warehouses = 4;
+  config.items = 500;
+  config.customers_per_district = 50;
+  config.partitions = 4;
+  return config;
+}
+
 /// Loads `workload` on a fresh 4-worker engine and runs `txns` seeded
 /// transactions one at a time. The counts are the CsProfiler delta over
 /// the transactions (loading excluded); `committed` counts successes.
 inline CountRun MeasureCounts(const Variant& variant, CountWorkload workload,
                               int txns) {
   auto engine = MakeEngine(variant.design, 4, false, variant.enable_sli);
-  TatpConfig tatp_config;
-  tatp_config.subscribers = 5000;
-  tatp_config.partitions = 4;
-  TatpWorkload tatp(engine.get(), tatp_config);
-  TpcbConfig tpcb_config;
-  tpcb_config.branches = 16;
-  tpcb_config.tellers_per_branch = 10;
-  tpcb_config.accounts_per_branch = 500;
-  tpcb_config.partitions = 4;
-  TpcbWorkload tpcb(engine.get(), tpcb_config);
-  TpccConfig tpcc_config;
-  tpcc_config.warehouses = 4;
-  tpcc_config.items = 500;
-  tpcc_config.customers_per_district = 50;
-  tpcc_config.partitions = 4;
-  TpccWorkload tpcc(engine.get(), tpcc_config);
-
+  // Each case loads its workload and binds `next`, which owns it.
+  auto load_tatp = [&] {
+    auto tatp = std::make_shared<TatpWorkload>(engine.get(), CountTatpConfig());
+    MustLoad(tatp->Load(), "TATP");
+    return tatp;
+  };
   TxnFactory next;
   switch (workload) {
     case CountWorkload::kTatp:
-      next = [&](Rng& rng) { return tatp.NextTransaction(rng); };
+      next = [tatp = load_tatp()](Rng& rng) {
+        return tatp->NextTransaction(rng);
+      };
       break;
     case CountWorkload::kTatpGetSubscriber:
-      next = [&](Rng& rng) {
-        return tatp.GetSubscriberData(tatp.RandomSubscriber(rng));
+      next = [tatp = load_tatp()](Rng& rng) {
+        return tatp->GetSubscriberData(tatp->RandomSubscriber(rng));
       };
       break;
     case CountWorkload::kTatpInsertDelete:
-      next = [&](Rng& rng) { return tatp.NextInsertDeleteHeavy(rng); };
+      next = [tatp = load_tatp()](Rng& rng) {
+        return tatp->NextInsertDeleteHeavy(rng);
+      };
       break;
-    case CountWorkload::kTpcb:
-      next = [&](Rng& rng) { return tpcb.NextTransaction(rng); };
+    case CountWorkload::kTpcb: {
+      auto tpcb =
+          std::make_shared<TpcbWorkload>(engine.get(), CountTpcbConfig());
+      MustLoad(tpcb->Load(), "TPC-B");
+      next = [tpcb](Rng& rng) { return tpcb->NextTransaction(rng); };
       break;
-    case CountWorkload::kTpcc:
-      next = [&](Rng& rng) { return tpcc.NextTransaction(rng); };
+    }
+    case CountWorkload::kTpcc: {
+      auto tpcc =
+          std::make_shared<TpccWorkload>(engine.get(), CountTpccConfig());
+      MustLoad(tpcc->Load(), "TPC-C");
+      next = [tpcc](Rng& rng) { return tpcc->NextTransaction(rng); };
       break;
-  }
-  if (workload == CountWorkload::kTpcb) {
-    MustLoad(tpcb.Load(), "TPC-B");
-  } else if (workload == CountWorkload::kTpcc) {
-    MustLoad(tpcc.Load(), "TPC-C");
-  } else {
-    MustLoad(tatp.Load(), "TATP");
+    }
   }
 
   Rng rng(1);

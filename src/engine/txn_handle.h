@@ -89,7 +89,7 @@ class CallbackExecutor {
 
 /// Counting gate that admits at most `limit` transactions at a time.
 /// Submit acquires a slot; completion releases it. Tracks the high-water
-/// mark so open-loop drivers can report sustained in-flight depth.
+/// mark, reported as the `admission.peak_inflight` stat.
 class AdmissionGate {
  public:
   explicit AdmissionGate(std::size_t limit) : limit_(limit == 0 ? 1 : limit) {}

@@ -3,8 +3,8 @@
 //    percentage (Appendix B, Figure 10: parallel SMOs with MRBTrees).
 //  * BalanceProbe  — read-only account-balance probes with a switchable
 //    skew target (Section 4.5, Figure 8: repartitioning tolerance).
-#ifndef PLP_WORKLOAD_MICROBENCHMARKS_H_
-#define PLP_WORKLOAD_MICROBENCHMARKS_H_
+#ifndef PLP_WORKLOAD_MICROBENCH_H_
+#define PLP_WORKLOAD_MICROBENCH_H_
 
 #include <atomic>
 #include <cstdint>
@@ -79,4 +79,4 @@ class BalanceProbe {
 
 }  // namespace plp
 
-#endif  // PLP_WORKLOAD_MICROBENCHMARKS_H_
+#endif  // PLP_WORKLOAD_MICROBENCH_H_

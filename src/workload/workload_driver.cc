@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -48,26 +47,14 @@ DriverResult RunInternal(Engine* engine, const TxnFactory& next,
     clients.emplace_back([&, i] {
       Rng rng(options.seed * 1315423911u + static_cast<std::uint64_t>(i));
       const std::uint64_t start = NowNanos();
-      // Keep up to `depth` transactions in flight, reaping the oldest
-      // handle whenever the window is full (and draining the window at the
-      // end of the run). Depth 1 is the closed loop: submit, then wait.
-      const auto depth =
-          static_cast<std::size_t>(std::max(1, options.pipeline_depth));
-      std::deque<TxnHandle> window;
-      auto reap_front = [&] {
-        TxnHandle handle = std::move(window.front());
-        window.pop_front();
-        if (handle.Wait().ok()) {
+      while (!stop.load(std::memory_order_relaxed)) {
+        TxnRequest req = next(rng);
+        if (engine->Execute(req).ok()) {
           committed.fetch_add(1, std::memory_order_relaxed);
         } else {
           aborted.fetch_add(1, std::memory_order_relaxed);
         }
-      };
-      while (!stop.load(std::memory_order_relaxed)) {
-        window.push_back(engine->Submit(next(rng)));
-        if (window.size() >= depth) reap_front();
       }
-      while (!window.empty()) reap_front();
       thread_time.fetch_add(NowNanos() - start, std::memory_order_relaxed);
     });
   }

@@ -18,11 +18,6 @@ struct DriverOptions {
   int num_threads = 4;
   std::chrono::milliseconds duration{1000};
   std::uint64_t seed = 1;
-  /// Open-loop pipelined mode: each client thread keeps up to this many
-  /// transactions in flight through Engine::Submit, reaping the oldest
-  /// handle once the window is full. 0 and 1 are the classic closed loop
-  /// (submit, then wait).
-  int pipeline_depth = 0;
 };
 
 struct DriverResult {
@@ -66,9 +61,9 @@ using TxnFactory = std::function<TxnRequest(Rng&)>;
 
 /// Runs the workload for `options.duration`. Aborted transactions are
 /// counted and the client moves on (no retry), as in the paper's drivers.
-/// With `options.pipeline_depth > 1` the clients run open-loop (see
-/// DriverOptions). At the end of the run the driver exports the flight
-/// recorder's Chrome trace to PLP_TRACE_PATH when that variable is set.
+/// Each client is a closed loop: it executes one transaction at a time.
+/// At the end of the run the driver exports the flight recorder's Chrome
+/// trace to PLP_TRACE_PATH when that variable is set.
 DriverResult RunWorkload(Engine* engine, const TxnFactory& next,
                          const DriverOptions& options);
 

@@ -1,7 +1,9 @@
 // The paper's count claims, asserted as inequalities on the numbers the
-// figure programs print (bench/paper_shape.h): each experiment loads a
-// workload on one design and runs a fixed number of seeded transactions
-// from one client, so the counts do not depend on the host's scheduling.
+// figure programs print in their count columns (Figures 1-3 and 5-7) and
+// Table 1's slice, all measured by bench/paper_shape.h: each experiment
+// loads a workload on one design and runs a fixed number of seeded
+// transactions from one client, so the counts do not depend on the
+// host's scheduling.
 // Table 2 and Figures 11-12 are asserted in cost_model_test and
 // fragmentation_test.
 //
@@ -13,9 +15,9 @@
 //  * Figure 3: PLP-Regular removes >80% of the conventional latches. It
 //    removes 66%, all of them index latches (asserted: < 50% remain).
 //  * Figure 6: Conv./Logical spend 15-20% of their time in index-latch
-//    and SMO waits. At 8 clients they spend 0.1-0.4%.
+//    and SMO waits. At 8 clients they spend under 1%.
 //  * Figure 7: heap-latch waits take >50% of Conv./Logical/PLP-Regular
-//    time at high utilization. At 8 clients they take 0.1-3%; the
+//    time at high utilization. At 8 clients they take under 5%; the
 //    conventional system's time goes to record-lock waits instead.
 // The other timing claims (Figure 5 Ktps ordering, Figure 8's dips,
 // Figure 9's ~10% MRBT gain, Figure 10's SMO waits) are printed by their
